@@ -3,6 +3,7 @@ models for hierarchical N-body methods."""
 
 from .errors import (
     ConfigurationError,
+    ContainerError,
     OracleScaleError,
     PartitionError,
     PrecisionLimitError,

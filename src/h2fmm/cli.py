@@ -1,8 +1,8 @@
 """Command-line front end: gen, tree-stats, compress, matvec, commsim, verify.
 
 Every subcommand is deterministic given its flags and seed.  Exit codes:
-0 success, 2 usage/configuration error, 3 precondition or guard
-violation, 4 internal invariant failure.
+0 success, 2 usage/configuration error or malformed container, 3
+precondition or guard violation, 4 internal invariant failure.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .commsim import (
 )
 from .errors import (
     ConfigurationError,
+    ContainerError,
     OracleScaleError,
     PartitionError,
     PrecisionLimitError,
@@ -36,7 +37,7 @@ from .geometry import (
     save_csv,
 )
 from .h2 import compress, flop_report, matvec, storage_report
-from .h2io import load_h2, save_h2
+from .h2io import VERSION, load_h2, save_h2
 from .kernels import KernelSpec, dense_matrix, oracle_limit
 from .tree import balance_2to1, build_tree, depth_stats
 
@@ -149,7 +150,7 @@ def cmd_compress(args) -> int:
             "max_rank": args.max_rank,
             "leaf_capacity": args.leaf_capacity,
             "balance": args.balance,
-            "format_version": 1,
+            "format_version": VERSION,
         },
         "summary": h2.summary(),
         "timings": {"tree_s": t_tree, "compress_s": t_compress},
@@ -177,8 +178,7 @@ def cmd_matvec(args) -> int:
             "n": n,
             "seed": args.seed,
             "oracle": args.oracle,
-            "deterministic": args.deterministic,
-            "format_version": 1,
+            "format_version": VERSION,
         },
         "flops": flop_report(h2),
         "storage": storage_report(h2),
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="CSV vector; default seeded random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", default=None, help="output vector CSV")
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_matvec)
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, ContainerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OracleScaleError, PrecisionLimitError, PartitionError) as exc:

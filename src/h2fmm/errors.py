@@ -20,3 +20,7 @@ class OracleScaleError(ValueError):
 
 class PartitionError(ValueError):
     """A process partition cannot be formed (e.g. more processes than leaves)."""
+
+
+class ContainerError(ValueError):
+    """An H2 container file is unreadable, truncated, padded or inconsistent."""

@@ -1,9 +1,13 @@
 """H2 compression of kernel matrices over an octree, and the O(N) matvec.
 
-The representation follows the usual nested-basis layout: explicit row /
-column bases at octree leaves, interlevel transfer matrices at interior
-nodes, small coupling matrices on admissible (low-rank) blocks of the
-block tree, and raw dense blocks for inadmissible leaf-level pairs.
+The representation follows the usual nested-basis layout: explicit bases
+at octree leaves, interlevel transfer matrices at interior nodes, small
+coupling matrices on admissible (low-rank) blocks of the block tree, and
+raw dense blocks for inadmissible leaf-level pairs.  The kernels are
+symmetric, so one basis serves rows and columns (U = V), S_ji = S_ij^T,
+and each admissible pair is stored once, as S_ij with i < j.  The basis,
+coupling and dense blocks are each packed into one array of shape groups
+(:class:`Packed`); a matvec phase is one batched product per group.
 
 Bases are built bottom-up from truncated SVDs of each node's far-field
 block row, with every admissible sub-block scaled to unit Frobenius norm
@@ -56,15 +60,64 @@ def admissible(row_cell: MortonKey, col_cell: MortonKey, eta: float = DEFAULT_ET
 
 
 @dataclass
+class Packed:
+    """Small matrices stored back to back in one array, grouped by shape.
+
+    Item t belongs to ``ids[t]``: a node, or a (row, col) node pair.
+    Group g holds items ``ptr[g]:ptr[g + 1]``, all of shape ``shapes[g]``
+    and stored row-major one after another, so :meth:`groups` views each
+    group as a (count, rows, cols) array without copying.
+    """
+
+    ids: np.ndarray
+    ptr: np.ndarray
+    shapes: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def allocate(cls, ids, keys):
+        """Uninitialised storage, items grouped by equal rows of ``keys``.
+
+        The last two columns of ``keys`` are each item's (rows, cols); any
+        columns before them only order the groups.  Items keep their input
+        order within a group.  Returns the storage and each input item's
+        offset into ``data``.
+        """
+        perm = np.lexsort(keys.T[::-1])
+        key = keys[perm]
+        first = np.ones(len(perm), dtype=bool)
+        first[1:] = (key[1:] != key[:-1]).any(axis=1)
+        sizes = key[:, -2] * key[:, -1]
+        offsets = np.empty(len(perm), dtype=np.int64)
+        offsets[perm] = np.cumsum(sizes) - sizes
+        ptr = np.append(np.flatnonzero(first), len(perm))
+        return cls(ids[perm], ptr, key[first, -2:], np.empty(int(sizes.sum()))), offsets
+
+    def groups(self):
+        """(ids, matrices) per group, matrices being a (count, rows, cols) view."""
+        off = 0
+        for g, (r, c) in enumerate(self.shapes.tolist()):
+            lo, hi = int(self.ptr[g]), int(self.ptr[g + 1])
+            size = (hi - lo) * r * c
+            yield self.ids[lo:hi], self.data[off : off + size].reshape(hi - lo, r, c)
+            off += size
+
+
+@dataclass
 class BlockTree:
-    """Partition of the index square into low-rank and dense leaves."""
+    """Partition of the index square into low-rank and dense leaves.
+
+    The partition is symmetric: (i, j) is a low-rank block exactly when
+    (j, i) is.  :func:`compress` fills ``coupling`` with S_ij for each
+    pair i < j and ``dense`` with every dense block.
+    """
 
     lr_row: np.ndarray  # node ids, deterministic (level, row key, col key) order
     lr_col: np.ndarray
     dense_row: np.ndarray
     dense_col: np.ndarray
-    lr_s: list = field(default_factory=list)
-    dense_blocks: list = field(default_factory=list)
+    coupling: Packed | None = None
+    dense: Packed | None = None
 
     @property
     def n_lowrank(self) -> int:
@@ -73,10 +126,6 @@ class BlockTree:
     @property
     def n_dense(self) -> int:
         return len(self.dense_row)
-
-    def lowrank_per_row_node(self) -> dict:
-        nodes, counts = np.unique(self.lr_row, return_counts=True)
-        return {int(n): int(c) for n, c in zip(nodes, counts)}
 
     def max_blocks_per_row(self) -> int:
         if not len(self.lr_row):
@@ -145,38 +194,46 @@ def build_block_tree(tree: Octree, eta: float = DEFAULT_ETA) -> BlockTree:
     )
 
 
+def _expand(tree: Octree, node: int, mat, explicit) -> np.ndarray:
+    """Explicit (n_node, k) basis from the node's matrix and its children's."""
+    if tree.is_leaf[node]:
+        return mat
+    kids = [explicit[c] for c in tree.children(node)]
+    rows = np.cumsum([0] + [u.shape[1] for u in kids])
+    return np.vstack([u @ mat[a:b] for u, a, b in zip(kids, rows, rows[1:])])
+
+
 @dataclass
 class BasisTree:
-    """Nested row- or column-side bases over the octree nodes."""
+    """The nested basis over the octree nodes, shared by rows and columns.
 
-    side: str  # "row" (U/E) or "col" (V/F)
+    ``mats`` holds one matrix per node: a leaf's (count, k) basis, or an
+    interior node's transfer matrices stacked over its children into one
+    (sum of child ranks, k) matrix.  Its items run deepest level first.
+    """
+
     ranks: np.ndarray
     tails: np.ndarray  # achieved relative truncation tail per node
-    leaf_bases: dict = field(default_factory=dict)
-    transfers: dict = field(default_factory=dict)  # node -> {child: (k_c, k)}
+    mats: Packed
     _explicit: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Node n's slot in a reduced vector is ``offsets[n]:offsets[n + 1]``."""
+        return np.concatenate([[0], np.cumsum(self.ranks, dtype=np.int64)])
 
     def explicit_basis(self, tree: Octree, node: int) -> np.ndarray:
         """Assemble the dense (n_node, k) basis by expanding transfers."""
-        node = int(node)
-        if node in self._explicit:
-            return self._explicit[node]
-        if node in self.leaf_bases:
-            out = self.leaf_bases[node]
-        else:
-            rows = []
-            for child in tree.children(node):
-                child = int(child)
-                uc = self.explicit_basis(tree, child)
-                rows.append(uc @ self.transfers[node][child])
-            out = np.vstack(rows) if rows else np.zeros((0, self.ranks[node]))
-        self._explicit[node] = out
-        return out
+        if not self._explicit:  # children come before parents in storage
+            for ids, group in self.mats.groups():
+                for n, mat in zip(ids.tolist(), group):
+                    self._explicit[n] = _expand(tree, n, mat, self._explicit)
+        return self._explicit[int(node)]
 
 
 @dataclass
 class H2Matrix:
-    """Compressed kernel matrix with nested bases.
+    """Compressed kernel matrix with one nested basis (U = V).
 
     Vectors passed to :func:`matvec` use the original particle order;
     the permutation into Morton order is internal.
@@ -187,8 +244,7 @@ class H2Matrix:
     eps: float
     eta: float
     max_rank: int | None
-    row_basis: BasisTree
-    col_basis: BasisTree
+    row_basis: BasisTree  # the one basis; it serves the columns too
     blocks: BlockTree
 
     @property
@@ -196,12 +252,9 @@ class H2Matrix:
         return self.octree.n_particles
 
     def flagged_nodes(self) -> list:
-        """Nodes whose rank cap left a truncation tail above eps."""
-        out = []
-        for basis in (self.row_basis, self.col_basis):
-            bad = np.flatnonzero(basis.tails > self.eps)
-            out.extend((basis.side, int(b), float(basis.tails[b])) for b in bad)
-        return out
+        """(node, tail) of nodes whose rank cap left a truncation tail above eps."""
+        bad = np.flatnonzero(self.row_basis.tails > self.eps)
+        return [(int(b), float(self.row_basis.tails[b])) for b in bad]
 
     def summary(self) -> dict:
         ranks = self.row_basis.ranks
@@ -218,22 +271,10 @@ class H2Matrix:
             "mean_rank": float(active.mean()) if len(active) else 0.0,
             "max_blocks_per_row_node": self.blocks.max_blocks_per_row(),
             "flagged_nodes": len(self.flagged_nodes()),
-            "max_tail": float(
-                max(self.row_basis.tails.max(), self.col_basis.tails.max())
-            ),
+            "max_tail": float(self.row_basis.tails.max()),
             "storage": storage_report(self),
             "flops": flop_report(self),
         }
-
-
-def _row_groups(rows):
-    """(lo, hi) spans of equal consecutive entries in a sorted id array."""
-    if not len(rows):
-        return
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    bounds = np.append(starts, len(rows))
-    for g in range(len(starts)):
-        yield int(bounds[g]), int(bounds[g + 1])
 
 
 def _far_partners(tree: Octree, blocks: BlockTree):
@@ -253,27 +294,16 @@ def _far_partners(tree: Octree, blocks: BlockTree):
     return full
 
 
-def _kernel_rows(kernel, row_points, col_points):
-    """kernel_block with the row dimension chunked to bound transients."""
+def _kernel_rows(kernel, row_points, col_points, u=None):
+    """kernel(rows, cols), or u.T @ it, with the columns chunked to bound transients."""
     n, m = len(row_points), len(col_points)
-    if n * m <= _CHUNK_ELEMENTS:
+    step = max(1, _CHUNK_ELEMENTS // max(n, 1))
+    if u is None and m <= step:
         return kernel_block(kernel, row_points, col_points)
-    out = np.empty((n, m))
-    step = max(1, _CHUNK_ELEMENTS // max(m, 1))
-    for s in range(0, n, step):
-        out[s : s + step] = kernel_block(kernel, row_points[s : s + step], col_points)
-    return out
-
-
-def _projected_rows(kernel, u, row_points, col_points):
-    """u.T @ kernel(rows, cols) with the column dimension chunked."""
-    m = len(col_points)
-    out = np.empty((u.shape[1], m))
-    step = max(1, _CHUNK_ELEMENTS // max(len(row_points), 1))
+    out = np.empty((n if u is None else u.shape[1], m))
     for s in range(0, m, step):
-        out[:, s : s + step] = u.T @ kernel_block(
-            kernel, row_points, col_points[s : s + step]
-        )
+        blk = kernel_block(kernel, row_points, col_points[s : s + step])
+        out[:, s : s + step] = blk if u is None else u.T @ blk
     return out
 
 
@@ -314,62 +344,76 @@ def _truncate(scaled, eps, max_rank, bounds):
     return u[:, :r], r, tail
 
 
-def _build_row_basis(tree: Octree, kernel, eps, max_rank, partners, transpose):
-    """Bottom-up nested basis for the row side (or column side if transposed)."""
+def _build_basis(tree: Octree, kernel, eps, max_rank, partners):
+    """Bottom-up nested basis: ranks, tails, per-node matrices, explicit bases."""
     n_nodes = tree.n_nodes
     ranks = np.zeros(n_nodes, dtype=np.int32)
     tails = np.zeros(n_nodes, dtype=np.float64)
-    basis = BasisTree(side="col" if transpose else "row", ranks=ranks, tails=tails)
+    mats, explicit = [None] * n_nodes, {}
     pos = tree.particles.positions
     depth = len(tree.level_ptr) - 2
     for level in range(depth, -1, -1):
         for node in map(int, tree.level_nodes(level)):
             plist = partners[node]
-            n_i = int(tree.counts[node])
+            kids = [int(c) for c in tree.children(node)] or [node]  # a leaf stands for itself
             if not plist:
-                if tree.is_leaf[node]:
-                    basis.leaf_bases[node] = np.zeros((n_i, 0))
-                else:
-                    basis.transfers[node] = {
-                        int(c): np.zeros((ranks[int(c)], 0)) for c in tree.children(node)
-                    }
-                continue
-            col_idx = _ranges_concat(tree.starts[plist], tree.counts[plist])
-            widths = tree.counts[plist]
-            bounds = np.concatenate([[0], np.cumsum(widths)])
-            far_pts = pos[col_idx]
-            if tree.is_leaf[node]:
-                s0 = int(tree.starts[node])
-                R = _kernel_rows(kernel, pos[s0 : s0 + n_i], far_pts)
+                rows = tree.counts[node] if tree.is_leaf[node] else ranks[kids].sum()
+                mats[node] = np.zeros((int(rows), 0))
             else:
-                rows = []
-                for child in map(int, tree.children(node)):
-                    uc = basis.explicit_basis(tree, child)
-                    cs = int(tree.starts[child])
-                    rows.append(
-                        _projected_rows(
-                            kernel, uc, pos[cs : cs + int(tree.counts[child])], far_pts
-                        )
-                    )
-                R = np.vstack(rows)
-            col2 = (R * R).sum(axis=0)
-            norms = np.sqrt(np.add.reduceat(col2, bounds[:-1]))
-            norms[norms == 0.0] = 1.0
-            R *= np.repeat(1.0 / norms, widths)[None, :]
-            u, r, tail = _truncate(R, eps, max_rank, bounds)
-            ranks[node] = r
-            tails[node] = tail
-            if tree.is_leaf[node]:
-                basis.leaf_bases[node] = u
-            else:
-                transfers = {}
-                row0 = 0
-                for child in map(int, tree.children(node)):
-                    kc = ranks[child]
-                    transfers[child] = u[row0 : row0 + kc]
-                    row0 += kc
-                basis.transfers[node] = transfers
-    return basis
+                widths = tree.counts[plist]
+                bounds = np.concatenate([[0], np.cumsum(widths)])
+                far_pts = pos[_ranges_concat(tree.starts[plist], widths)]
+                R = np.vstack([
+                    _kernel_rows(kernel, pos[tree.starts[c] : tree.starts[c] + tree.counts[c]],
+                                 far_pts, None if c == node else explicit[c])
+                    for c in kids
+                ])
+                col2 = (R * R).sum(axis=0)
+                norms = np.sqrt(np.add.reduceat(col2, bounds[:-1]))
+                norms[norms == 0.0] = 1.0
+                R *= np.repeat(1.0 / norms, widths)[None, :]
+                mats[node], ranks[node], tails[node] = _truncate(R, eps, max_rank, bounds)
+            explicit[node] = _expand(tree, node, mats[node], explicit)
+    return ranks, tails, mats, explicit
+
+
+def _storage(tree: Octree, blocks: BlockTree, ranks):
+    """Empty packed basis, coupling and dense storage.
+
+    Returns ``(packed, offsets, items)`` for each: the items are the
+    nodes, grouped deepest level first; the low-rank pairs i < j; and the
+    dense pairs.  ``offsets`` locates each item in ``packed.data``.
+    """
+    off = np.concatenate([[0], np.cumsum(ranks, dtype=np.int64)])
+    end = tree.child_start.astype(np.int64) + tree.child_count
+    rows = np.where(tree.is_leaf, tree.counts, off[end] - off[tree.child_start])
+    upper = blocks.lr_row < blocks.lr_col
+    items = (
+        np.arange(tree.n_nodes),
+        np.stack([blocks.lr_row[upper], blocks.lr_col[upper]], axis=1),
+        np.stack([blocks.dense_row, blocks.dense_col], axis=1),
+    )
+    deepest_first = -tree.levels.astype(np.int64)
+    keys = (np.stack([deepest_first, rows, ranks], axis=1), ranks[items[1]], tree.counts[items[2]])
+    return [Packed.allocate(ids, k.astype(np.int64)) + (ids,) for ids, k in zip(items, keys)]
+
+
+def _fill(packed, offsets, ids, kernel, tree: Octree, basis=None):
+    """Write the block K(i, j), or U_i^T K(i, j) U_j given explicit bases, of each (i, j).
+
+    Blocks are computed per row node, so one kernel slice serves the row.
+    """
+    pos, starts, counts = tree.particles.positions, tree.starts, tree.counts
+    first = np.flatnonzero(np.diff(ids[:, 0], prepend=-1))  # ids are sorted by row
+    for lo, hi in zip(first.tolist(), first[1:].tolist() + [len(ids)]):
+        i, js = int(ids[lo, 0]), ids[lo:hi, 1]
+        rows = pos[starts[i] : starts[i] + counts[i]]
+        cols = pos[_ranges_concat(starts[js], counts[js])]
+        w = _kernel_rows(kernel, rows, cols, None if basis is None else basis[i])
+        seg = np.concatenate([[0], np.cumsum(counts[js])])
+        for t, j, a, b in zip(range(lo, hi), js.tolist(), seg, seg[1:]):
+            blk = w[:, a:b] if basis is None else w[:, a:b] @ basis[j]
+            packed.data[offsets[t] : offsets[t] + blk.size] = blk.ravel()
 
 
 def compress(
@@ -380,6 +424,10 @@ def compress(
     eta: float = DEFAULT_ETA,
 ) -> H2Matrix:
     """Build the H2 representation of the kernel matrix over ``tree``.
+
+    The kernel is assumed symmetric, K(a, b) = K(b, a), as every
+    supported kind is: one basis serves rows and columns, and only the
+    coupling blocks S_ij with i < j are assembled and stored.
 
     Parameters
     ----------
@@ -404,48 +452,22 @@ def compress(
     if max_rank is not None and max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     blocks = build_block_tree(tree, eta)
-    row_partners = _far_partners(tree, blocks)
-    row_basis = _build_row_basis(tree, kernel, eps, max_rank, row_partners, transpose=False)
-    # All supported kernels are symmetric, so the column basis solves the
-    # transposed problem with identical data; it is built as a clone.
-    col_basis = BasisTree(
-        side="col",
-        ranks=row_basis.ranks.copy(),
-        tails=row_basis.tails.copy(),
-        leaf_bases=dict(row_basis.leaf_bases),
-        transfers={n: dict(t) for n, t in row_basis.transfers.items()},
-    )
-    pos = tree.particles.positions
-    # Coupling and dense blocks are computed per row-node group so one
-    # kernel slice serves every block in the group.
-    for lo, hi in _row_groups(blocks.lr_row):
-        i = int(blocks.lr_row[lo])
-        js = blocks.lr_col[lo:hi]
-        ui = row_basis.explicit_basis(tree, i)
-        si, ci = int(tree.starts[i]), int(tree.counts[i])
-        col_idx = _ranges_concat(tree.starts[js], tree.counts[js])
-        w = _projected_rows(kernel, ui, pos[si : si + ci], pos[col_idx])
-        seg = np.concatenate([[0], np.cumsum(tree.counts[js])])
-        for b, j in enumerate(map(int, js)):
-            vj = col_basis.explicit_basis(tree, j)
-            blocks.lr_s.append(w[:, seg[b] : seg[b + 1]] @ vj)
-    for lo, hi in _row_groups(blocks.dense_row):
-        i = int(blocks.dense_row[lo])
-        js = blocks.dense_col[lo:hi]
-        si, ci = int(tree.starts[i]), int(tree.counts[i])
-        col_idx = _ranges_concat(tree.starts[js], tree.counts[js])
-        raw = _kernel_rows(kernel, pos[si : si + ci], pos[col_idx])
-        seg = np.concatenate([[0], np.cumsum(tree.counts[js])])
-        for b in range(len(js)):
-            blocks.dense_blocks.append(raw[:, seg[b] : seg[b + 1]].copy())
+    partners = _far_partners(tree, blocks)
+    ranks, tails, mats, explicit = _build_basis(tree, kernel, eps, max_rank, partners)
+    storage = _storage(tree, blocks, ranks)
+    (basis, boff, _), (pairs, poff, pair_ids), (dense, doff, dense_ids) = storage
+    for node, mat in enumerate(mats):
+        basis.data[boff[node] : boff[node] + mat.size] = mat.ravel()
+    _fill(pairs, poff, pair_ids, kernel, tree, explicit)
+    _fill(dense, doff, dense_ids, kernel, tree)
+    blocks.coupling, blocks.dense = pairs, dense
     return H2Matrix(
         octree=tree,
         kernel=kernel,
         eps=eps,
         eta=eta,
         max_rank=max_rank,
-        row_basis=row_basis,
-        col_basis=col_basis,
+        row_basis=BasisTree(ranks=ranks, tails=tails, mats=basis, _explicit=explicit),
         blocks=blocks,
     )
 
@@ -457,42 +479,72 @@ def _to_sorted(h2: H2Matrix, x):
     return x[h2.octree.order]
 
 
-def upsweep(h2: H2Matrix, x) -> list:
-    """Per-column-node reduced vectors x_hat.
+def _to_original(h2: H2Matrix, ys) -> np.ndarray:
+    out = np.zeros(h2.n)
+    out[h2.octree.order] = ys
+    return out
 
-    Leaves compute V^T x directly; interior nodes accumulate their
-    children's reduced vectors through the transfer matrices, bottom-up.
-    ``x`` is in original particle order.
+
+def _spans(starts, width) -> np.ndarray:
+    """(len(starts), width) indices of the ranges starts[t] + [0, width)."""
+    return starts[:, None] + np.arange(width)
+
+
+def _block_apply(packed, x, starts, size, both_ways=False) -> np.ndarray:
+    """Sum of B x_j into slot i over the stored blocks B of pairs (i, j).
+
+    With ``both_ways`` each block also adds B^T x_i into slot j.  Slot n
+    of ``x`` and of the result starts at ``starts[n]``.  Contributions are
+    summed in storage order, so the result is reproducible.
     """
-    xs = _to_sorted(h2, x)
-    tree = h2.octree
-    basis = h2.col_basis
-    xhat = [None] * tree.n_nodes
-    depth = len(tree.level_ptr) - 2
-    for level in range(depth, -1, -1):
-        for node in map(int, tree.level_nodes(level)):
-            if tree.is_leaf[node]:
-                s, c = int(tree.starts[node]), int(tree.counts[node])
-                xhat[node] = basis.leaf_bases[node].T @ xs[s : s + c]
-            else:
-                acc = np.zeros(int(basis.ranks[node]))
-                for child in map(int, tree.children(node)):
-                    acc += basis.transfers[node][child].T @ xhat[child]
-                xhat[node] = acc
-    return xhat
+    idx, val = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for ij, b in packed.groups():
+        ii = _spans(starts[ij[:, 0]], b.shape[1])
+        jj = _spans(starts[ij[:, 1]], b.shape[2])
+        idx.append(ii.ravel())
+        val.append(np.matmul(b, x[jj][:, :, None]).ravel())
+        if both_ways:
+            idx.append(jj.ravel())
+            val.append(np.matmul(x[ii][:, None, :], b).ravel())
+    return np.bincount(np.concatenate(idx), np.concatenate(val), minlength=size)
 
 
-def coupling(h2: H2Matrix, xhat) -> list:
-    """Per-row-node accumulations y_hat_i = sum_j S_ij x_hat_j.
+def _basis_slots(h2: H2Matrix):
+    """Per node: where its basis input and its reduced vector start in [x ; x_hat].
 
-    Blocks are applied in the block tree's deterministic order, so the
-    accumulation order is reproducible.
+    An interior node's input is its children's reduced vectors, adjacent
+    since sibling ids are consecutive.
     """
-    tree = h2.octree
-    yhat = [np.zeros(int(h2.row_basis.ranks[node])) for node in range(tree.n_nodes)]
-    for i, j, s in zip(h2.blocks.lr_row, h2.blocks.lr_col, h2.blocks.lr_s):
-        yhat[int(i)] += s @ xhat[int(j)]
-    return yhat
+    tree, off = h2.octree, h2.row_basis.offsets
+    inp = np.where(tree.is_leaf, tree.starts, h2.n + off[tree.child_start])
+    return inp, h2.n + off[:-1]
+
+
+def upsweep(h2: H2Matrix, x) -> np.ndarray:
+    """Reduced vectors x_hat of all nodes, concatenated in node order.
+
+    Node n's part is ``x_hat[offsets[n]:offsets[n + 1]]`` with
+    ``offsets = h2.row_basis.offsets``.  Leaves compute U^T x directly;
+    interior nodes apply their transfers to their children's reduced
+    vectors, deepest level first.  ``x`` is in original particle order.
+    """
+    buf = np.concatenate([_to_sorted(h2, x), np.zeros(h2.row_basis.offsets[-1])])
+    inp, out = _basis_slots(h2)
+    for nodes, e in h2.row_basis.mats.groups():
+        if e.size:
+            v = buf[_spans(inp[nodes], e.shape[1])]
+            buf[_spans(out[nodes], e.shape[2])] = np.matmul(v[:, None, :], e)[:, 0]
+    return buf[h2.n :]
+
+
+def coupling(h2: H2Matrix, xhat) -> np.ndarray:
+    """Reduced outputs y_hat_i = sum_j S_ij x_hat_j, laid out as x_hat.
+
+    Each stored pair adds S_ij x_hat_j to node i and S_ij^T x_hat_i to
+    node j.
+    """
+    xhat = np.asarray(xhat, dtype=np.float64)
+    return _block_apply(h2.blocks.coupling, xhat, h2.row_basis.offsets, len(xhat), both_ways=True)
 
 
 def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
@@ -502,36 +554,19 @@ def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
     matrices, top-down, and leaves emit U times their accumulator.
     Returns a vector in original particle order.
     """
-    tree = h2.octree
-    basis = h2.row_basis
-    yhat = [np.array(v, dtype=np.float64, copy=True) for v in yhat]
-    ys = np.zeros(h2.n)
-    depth = len(tree.level_ptr) - 2
-    for level in range(depth + 1):
-        for node in map(int, tree.level_nodes(level)):
-            if tree.is_leaf[node]:
-                s, c = int(tree.starts[node]), int(tree.counts[node])
-                ys[s : s + c] = basis.leaf_bases[node] @ yhat[node]
-            else:
-                for child in map(int, tree.children(node)):
-                    yhat[child] = yhat[child] + basis.transfers[node][child] @ yhat[node]
-    out = np.zeros(h2.n)
-    out[h2.octree.order] = ys
-    return out
+    buf = np.concatenate([np.zeros(h2.n), yhat])
+    inp, out = _basis_slots(h2)
+    for nodes, e in reversed(list(h2.row_basis.mats.groups())):
+        if e.size:
+            y = buf[_spans(out[nodes], e.shape[2])]
+            buf[_spans(inp[nodes], e.shape[1])] += np.matmul(e, y[:, :, None])[:, :, 0]
+    return _to_original(h2, buf[: h2.n])
 
 
 def dense_apply(h2: H2Matrix, x) -> np.ndarray:
     """Contribution of the dense (inadmissible leaf) blocks."""
-    xs = _to_sorted(h2, x)
-    tree = h2.octree
-    ys = np.zeros(h2.n)
-    for i, j, blk in zip(h2.blocks.dense_row, h2.blocks.dense_col, h2.blocks.dense_blocks):
-        si, ci = int(tree.starts[i]), int(tree.counts[i])
-        sj, cj = int(tree.starts[j]), int(tree.counts[j])
-        ys[si : si + ci] += blk @ xs[sj : sj + cj]
-    out = np.zeros(h2.n)
-    out[h2.octree.order] = ys
-    return out
+    ys = _block_apply(h2.blocks.dense, _to_sorted(h2, x), h2.octree.starts, h2.n)
+    return _to_original(h2, ys)
 
 
 def matvec(h2: H2Matrix, x) -> np.ndarray:
@@ -539,47 +574,31 @@ def matvec(h2: H2Matrix, x) -> np.ndarray:
     return dense_apply(h2, x) + downsweep(h2, coupling(h2, upsweep(h2, x)))
 
 
-def hat_vector(h2: H2Matrix, hat) -> np.ndarray:
-    """Concatenate per-node reduced vectors in (level, Morton key) order."""
-    return np.concatenate([np.asarray(hat[n]) for n in range(h2.octree.n_nodes)])
-
-
 def storage_report(h2: H2Matrix) -> dict:
     """Stored reals per category, returned in bytes (8-byte words)."""
-    leaf = sum(b.size for b in h2.row_basis.leaf_bases.values())
-    leaf += sum(b.size for b in h2.col_basis.leaf_bases.values())
-    transfer = sum(
-        t.size for node in h2.row_basis.transfers.values() for t in node.values()
-    )
-    transfer += sum(
-        t.size for node in h2.col_basis.transfers.values() for t in node.values()
-    )
-    coupling_ = sum(s.size for s in h2.blocks.lr_s)
-    dense = sum(b.size for b in h2.blocks.dense_blocks)
+    mats = h2.row_basis.mats
+    sizes = np.repeat(mats.shapes.prod(axis=1), np.diff(mats.ptr))
+    leaf = int(sizes[h2.octree.is_leaf[mats.ids]].sum())
     out = {
         "leaf_bases": 8 * leaf,
-        "transfers": 8 * transfer,
-        "coupling": 8 * coupling_,
-        "dense": 8 * dense,
+        "transfers": 8 * (mats.data.size - leaf),
+        "coupling": 8 * h2.blocks.coupling.data.size,
+        "dense": 8 * h2.blocks.dense.data.size,
     }
     out["total"] = sum(out.values())
     return out
 
 
 def flop_report(h2: H2Matrix) -> dict:
-    """Multiply-add counts of one matvec, by phase."""
-    tree = h2.octree
-    up = sum(b.size for b in h2.col_basis.leaf_bases.values())
-    up += sum(t.size for node in h2.col_basis.transfers.values() for t in node.values())
-    down = sum(b.size for b in h2.row_basis.leaf_bases.values())
-    down += sum(t.size for node in h2.row_basis.transfers.values() for t in node.values())
-    coupling_ = sum(s.size for s in h2.blocks.lr_s)
-    dense = sum(b.size for b in h2.blocks.dense_blocks)
+    """Multiply-add counts of one matvec, by phase.
+
+    Each stored coupling block is applied twice, as S_ij and as S_ij^T.
+    """
     out = {
-        "dense": dense,
-        "upsweep": up,
-        "coupling": coupling_,
-        "downsweep": down,
+        "dense": h2.blocks.dense.data.size,
+        "upsweep": h2.row_basis.mats.data.size,
+        "coupling": 2 * h2.blocks.coupling.data.size,
+        "downsweep": h2.row_basis.mats.data.size,
     }
     out["total"] = sum(out.values())
     return out

@@ -1,201 +1,176 @@
-"""Binary container for compressed matrices.
+"""Binary container for compressed matrices, format version 2.
 
-Layout (all little-endian, documented in the README):
-
-  magic   4 bytes  b"H2FM"
-  version u32      currently 1
-  header  u64      byte length of the JSON header that follows
-  header  JSON     kernel spec, eps / eta / max_rank, sizes
-  arrays           raw array payload in the order listed by the header
-
-Every array is written as ``<dtype code, u64 byte length, bytes>`` with
-row-major float64 / integer data, so a read-back reproduces the matrix
-bit for bit.
+Layout (little-endian; see the README): magic b"H2FM", u32 version, u64
+header length, a JSON header (kernel, tolerances, sizes) space-padded so
+the arrays start 8-byte aligned, then the arrays of :func:`_layout`, raw
+and back to back.  The header fixes every array's dtype and length, so a
+truncated file, trailing bytes or another version raise
+:class:`ContainerError`.  The packed shape groups are rebuilt from the
+tree, block partition and ranks, which must imply the stored data
+lengths.  A read-back reproduces the matrix bit for bit.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import os
+import struct
 
 import numpy as np
 
+from .errors import ContainerError
 from .geometry import ParticleSet
-from .h2 import BasisTree, BlockTree, H2Matrix
+from .h2 import BasisTree, BlockTree, H2Matrix, _storage
 from .kernels import KernelSpec
 from .tree import Octree
 
 MAGIC = b"H2FM"
-VERSION = 1
+VERSION = 2
+_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+
+_TREE = (
+    "order", "keys21", "keys", "starts", "counts", "level_ptr",
+    "parents", "child_start", "levels", "child_count", "is_leaf",
+)
+_BLOCKS = ("lr_row", "lr_col", "dense_row", "dense_col")
+_PACKED = ("basis", "coupling", "dense")
 
 
-def _write_array(fh, arr):
-    arr = np.ascontiguousarray(arr)
-    code = arr.dtype.str.encode()  # e.g. b"<f8"
-    fh.write(np.uint32(len(code)).astype("<u4").tobytes())
-    fh.write(code)
-    fh.write(np.uint64(arr.nbytes).astype("<u8").tobytes())
-    fh.write(arr.tobytes())
+def _layout(h):
+    """(name, dtype, shape) of every array, in file order.
 
-
-def _read_array(fh, shape=None):
-    code_len = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-    dtype = np.dtype(fh.read(code_len).decode())
-    nbytes = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-    arr = np.frombuffer(fh.read(nbytes), dtype=dtype).copy()
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
-
-
-def _basis_payload(basis: BasisTree, tree: Octree):
-    entries = []
-    for node in range(tree.n_nodes):
-        if node in basis.leaf_bases:
-            entries.append(("leaf", node, list(basis.leaf_bases[node].shape)))
-        elif node in basis.transfers:
-            kids = sorted(basis.transfers[node])
-            entries.append(
-                ("interior", node, [[k] + list(basis.transfers[node][k].shape) for k in kids])
-            )
-    return entries
+    Eight-byte types come first, so every array is aligned in memory.
+    """
+    n, nodes, lr, dn = h["n"], h["n_nodes"], h["n_lowrank"], h["n_dense"]
+    return [
+        ("positions", "<f8", (n, 3)),
+        ("charges", "<f8", (n,)),
+        ("indices", "<i8", (n,)),
+        ("order", "<i8", (n,)),
+        ("keys21", "<u8", (n,)),
+        ("keys", "<u8", (nodes,)),
+        ("starts", "<i8", (nodes,)),
+        ("counts", "<i8", (nodes,)),
+        ("level_ptr", "<i8", (h["n_levels"] + 1,)),
+        ("tails", "<f8", (nodes,)),
+        ("lr_row", "<i8", (lr,)),
+        ("lr_col", "<i8", (lr,)),
+        ("dense_row", "<i8", (dn,)),
+        ("dense_col", "<i8", (dn,)),
+        ("basis", "<f8", (h["basis_size"],)),
+        ("coupling", "<f8", (h["coupling_size"],)),
+        ("dense", "<f8", (h["dense_size"],)),
+        ("ranks", "<i4", (nodes,)),
+        ("parents", "<i4", (nodes,)),
+        ("child_start", "<i4", (nodes,)),
+        ("levels", "|i1", (nodes,)),
+        ("child_count", "|i1", (nodes,)),
+        ("is_leaf", "|b1", (nodes,)),
+    ]
 
 
 def save_h2(h2: H2Matrix, path) -> None:
     """Serialize the compressed matrix to the binary container."""
-    tree = h2.octree
+    tree, blocks = h2.octree, h2.blocks
+    packed = (h2.row_basis.mats, blocks.coupling, blocks.dense)
     header = {
-        "kernel": {
-            "kind": h2.kernel.kind,
-            "regularization": h2.kernel.regularization,
-            "sigma": h2.kernel.sigma,
-        },
+        "kernel": dataclasses.asdict(h2.kernel),
         "eps": h2.eps,
         "eta": h2.eta,
         "max_rank": h2.max_rank,
         "n": tree.n_particles,
         "n_nodes": tree.n_nodes,
+        "n_levels": len(tree.level_ptr) - 1,
         "leaf_capacity": tree.leaf_capacity,
         "balanced": tree.balanced,
-        "n_lowrank": h2.blocks.n_lowrank,
-        "n_dense": h2.blocks.n_dense,
-        "row_basis": _basis_payload(h2.row_basis, tree),
-        "col_basis": _basis_payload(h2.col_basis, tree),
-        "lr_shapes": [list(s.shape) for s in h2.blocks.lr_s],
-        "dense_shapes": [list(b.shape) for b in h2.blocks.dense_blocks],
+        "n_lowrank": blocks.n_lowrank,
+        "n_dense": blocks.n_dense,
+        **{name + "_size": p.data.size for name, p in zip(_PACKED, packed)},
     }
+    arrays = {name: getattr(tree, name) for name in _TREE}
+    arrays.update({name: getattr(blocks, name) for name in _BLOCKS})
+    arrays.update({name: p.data for name, p in zip(_PACKED, packed)})
+    particles = tree.particles
+    arrays.update(positions=particles.positions, charges=particles.charges,
+                  indices=particles.indices, ranks=h2.row_basis.ranks, tails=h2.row_basis.tails)
     blob = json.dumps(header).encode()
+    blob += b" " * (-(_PREFIX.size + len(blob)) % 8)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).astype("<u4").tobytes())
-        fh.write(np.uint64(len(blob)).astype("<u8").tobytes())
+        fh.write(_PREFIX.pack(MAGIC, VERSION, len(blob)))
         fh.write(blob)
-        _write_array(fh, tree.particles.positions)
-        _write_array(fh, tree.particles.indices)
-        _write_array(fh, tree.particles.charges)
-        _write_array(fh, tree.order)
-        _write_array(fh, tree.keys21)
-        _write_array(fh, tree.keys)
-        _write_array(fh, tree.levels)
-        _write_array(fh, tree.starts)
-        _write_array(fh, tree.counts)
-        _write_array(fh, tree.parents)
-        _write_array(fh, tree.child_start)
-        _write_array(fh, tree.child_count)
-        _write_array(fh, tree.is_leaf)
-        _write_array(fh, tree.level_ptr)
-        for basis in (h2.row_basis, h2.col_basis):
-            _write_array(fh, basis.ranks)
-            _write_array(fh, basis.tails)
-            for node in range(tree.n_nodes):
-                if node in basis.leaf_bases:
-                    _write_array(fh, basis.leaf_bases[node])
-                elif node in basis.transfers:
-                    for k in sorted(basis.transfers[node]):
-                        _write_array(fh, basis.transfers[node][k])
-        _write_array(fh, h2.blocks.lr_row)
-        _write_array(fh, h2.blocks.lr_col)
-        for s in h2.blocks.lr_s:
-            _write_array(fh, s)
-        _write_array(fh, h2.blocks.dense_row)
-        _write_array(fh, h2.blocks.dense_col)
-        for b in h2.blocks.dense_blocks:
-            _write_array(fh, b)
+        for name, dtype, shape in _layout(header):
+            fh.write(np.ascontiguousarray(arrays[name], dtype).reshape(shape).data)
 
 
 def load_h2(path) -> H2Matrix:
-    """Read a container written by :func:`save_h2`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"not an H2 container (magic {magic!r})")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        if version != VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        hlen = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        header = json.loads(fh.read(hlen).decode())
-        n = header["n"]
-        n_nodes = header["n_nodes"]
-        positions = _read_array(fh, (n, 3))
-        indices = _read_array(fh)
-        charges = _read_array(fh)
-        particles = ParticleSet(positions, indices, charges)
-        order = _read_array(fh)
-        keys21 = _read_array(fh)
+    """Read a container written by :func:`save_h2` in one pass."""
+    try:
+        with open(path, "rb") as fh:
+            buf = bytearray(os.fstat(fh.fileno()).st_size)
+            del buf[fh.readinto(buf) :]
+    except OSError as exc:
+        raise ContainerError(f"cannot read container {path}: {exc.strerror}") from None
+    return decode(buf)
+
+
+def _require(ok, message):
+    if not ok:
+        raise ContainerError(message)
+
+
+def decode(buf) -> H2Matrix:
+    """The matrix held in container bytes; its arrays share ``buf``'s memory."""
+    _require(len(buf) >= _PREFIX.size, f"container truncated to {len(buf)} bytes")
+    magic, version, hlen = _PREFIX.unpack_from(buf)
+    _require(magic == MAGIC, f"not an H2 container (magic {magic!r})")
+    _require(version == VERSION, f"unsupported container version {version}; expected {VERSION}")
+    pos = _PREFIX.size + hlen
+    try:
+        header = json.loads(bytes(buf[_PREFIX.size : pos]))
+        layout = _layout(header)
+        eps, eta, max_rank = header["eps"], header["eta"], header["max_rank"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContainerError(f"malformed container header: {exc!r}") from None
+    dims = [d for _, _, shape in layout for d in shape]
+    _require(all(type(d) is int and d >= 0 for d in dims), "header sizes must be counts")
+    arrays = {}
+    for name, dtype, shape in layout:
+        count = math.prod(shape)
+        end = pos + count * np.dtype(dtype).itemsize
+        _require(end <= len(buf), f"container truncated in array {name!r}")
+        arrays[name] = np.frombuffer(buf, dtype, count, pos).reshape(shape)
+        pos = end
+    _require(pos == len(buf), f"{len(buf) - pos} trailing bytes after the last array")
+    ranks, counts = arrays["ranks"], arrays["counts"]
+    _require(((ranks >= 0) & (ranks <= counts)).all(), "ranks out of range")
+    ids = np.concatenate([arrays[name] for name in _BLOCKS])
+    _require(((ids >= 0) & (ids < len(counts))).all(), "block node ids out of range")
+    try:
+        kernel = KernelSpec(**header["kernel"])
         tree = Octree(
-            particles=particles,
-            order=order,
-            keys21=keys21,
+            particles=ParticleSet(arrays["positions"], arrays["indices"], arrays["charges"]),
             leaf_capacity=header["leaf_capacity"],
-            keys=_read_array(fh),
-            levels=_read_array(fh),
-            starts=_read_array(fh),
-            counts=_read_array(fh),
-            parents=_read_array(fh),
-            child_start=_read_array(fh),
-            child_count=_read_array(fh),
-            is_leaf=_read_array(fh),
-            level_ptr=_read_array(fh),
             balanced=header["balanced"],
+            **{name: arrays[name] for name in _TREE},
         )
-        bases = []
-        for side, payload in (("row", header["row_basis"]), ("col", header["col_basis"])):
-            ranks = _read_array(fh)
-            tails = _read_array(fh)
-            basis = BasisTree(side=side, ranks=ranks, tails=tails)
-            for entry in payload:
-                kind, node = entry[0], int(entry[1])
-                if kind == "leaf":
-                    basis.leaf_bases[node] = _read_array(fh, tuple(entry[2]))
-                else:
-                    basis.transfers[node] = {
-                        int(k): _read_array(fh, (r, c)) for k, r, c in entry[2]
-                    }
-            bases.append(basis)
-        lr_row = _read_array(fh)
-        lr_col = _read_array(fh)
-        lr_s = [_read_array(fh, tuple(s)) for s in header["lr_shapes"]]
-        dense_row = _read_array(fh)
-        dense_col = _read_array(fh)
-        dense_blocks = [_read_array(fh, tuple(s)) for s in header["dense_shapes"]]
-    blocks = BlockTree(
-        lr_row=lr_row,
-        lr_col=lr_col,
-        dense_row=dense_row,
-        dense_col=dense_col,
-        lr_s=lr_s,
-        dense_blocks=dense_blocks,
-    )
-    kspec = KernelSpec(
-        kind=header["kernel"]["kind"],
-        regularization=header["kernel"]["regularization"],
-        sigma=header["kernel"]["sigma"],
-    )
+        blocks = BlockTree(*(arrays[name] for name in _BLOCKS))
+        packed = [p for p, _, _ in _storage(tree, blocks, ranks)]
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ContainerError(f"inconsistent container: {exc!r}") from exc
+    for p, name in zip(packed, _PACKED):
+        held = arrays[name].size
+        _require(
+            p.data.size == held, f"{name} data holds {held} reals; the tree implies {p.data.size}"
+        )
+        p.data = arrays[name]
+    blocks.coupling, blocks.dense = packed[1:]
     return H2Matrix(
         octree=tree,
-        kernel=kspec,
-        eps=header["eps"],
-        eta=header["eta"],
-        max_rank=header["max_rank"],
-        row_basis=bases[0],
-        col_basis=bases[1],
+        kernel=kernel,
+        eps=eps,
+        eta=eta,
+        max_rank=max_rank,
+        row_basis=BasisTree(ranks=ranks, tails=arrays["tails"], mats=packed[0]),
         blocks=blocks,
     )

@@ -38,10 +38,6 @@ class KernelSpec:
         if self.kind == "gaussian" and self.sigma <= 0.0:
             raise ConfigurationError("gaussian sigma must be > 0")
 
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
 
 def kernel_block(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     """Evaluate the kernel between two point sets.

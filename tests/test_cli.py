@@ -3,6 +3,7 @@ import json
 import pytest
 
 from h2fmm.cli import main
+from h2fmm.h2io import VERSION
 
 
 def run(args):
@@ -114,6 +115,7 @@ def test_compress_summary(compressed):
     container, summary = compressed
     report = json.loads(summary.read_text())
     assert report["config"]["n"] == 512
+    assert report["config"]["format_version"] == VERSION
     assert report["summary"]["lowrank_blocks"] > 0
     assert report["summary"]["storage"]["total"] > 0
 
@@ -135,6 +137,8 @@ def test_matvec_no_oracle_field(compressed, tmp_path):
     assert rc == 0
     report = json.loads(summary.read_text())
     assert "rel_error" not in report
+    assert report["config"]["format_version"] == VERSION
+    assert "deterministic" not in report["config"]
 
 
 def test_matvec_deterministic_output(compressed, tmp_path):
@@ -147,7 +151,6 @@ def test_matvec_deterministic_output(compressed, tmp_path):
                 "matvec",
                 "--matrix",
                 str(container),
-                "--deterministic",
                 "--seed",
                 "7",
                 "--out",
@@ -159,6 +162,30 @@ def test_matvec_deterministic_output(compressed, tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_matvec_deterministic_flag_removed(compressed, tmp_path, capsys):
+    container, _ = compressed
+    with pytest.raises(SystemExit) as exc:
+        run(["matvec", "--matrix", str(container), "--deterministic"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing", "version1", "missing"])
+def test_matvec_broken_container_exit_code(compressed, tmp_path, capsys, damage):
+    container, _ = compressed
+    raw = container.read_bytes()
+    bad = tmp_path / "bad.h2"
+    if damage == "truncated":
+        bad.write_bytes(raw[: len(raw) // 2])
+    elif damage == "trailing":
+        bad.write_bytes(raw + bytes(8))
+    elif damage == "version1":
+        bad.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+    rc = run(["matvec", "--matrix", str(bad), "--no-oracle", "--summary", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_matvec_oracle_guard_exit_code(compressed, tmp_path, monkeypatch):

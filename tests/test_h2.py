@@ -10,16 +10,30 @@ from h2fmm.h2 import (
     dense_apply,
     downsweep,
     flop_report,
-    hat_vector,
     matvec,
     storage_report,
     upsweep,
 )
-from h2fmm.kernels import KernelSpec, dense_matrix
+from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block
 from h2fmm.morton import morton_encode
 from h2fmm.tree import build_tree
 
 LAPLACE = KernelSpec("laplace3d", regularization=1e-2)
+
+
+def lowrank_blocks(m):
+    """(i, j, S_ij) for every low-rank block; S_ji is the stored S_ij transposed."""
+    stored = {}
+    for ids, group in m.blocks.coupling.groups():
+        for (i, j), s in zip(ids.tolist(), group):
+            stored[i, j], stored[j, i] = s, s.T
+    for i, j in zip(m.blocks.lr_row.tolist(), m.blocks.lr_col.tolist()):
+        yield i, j, stored[i, j]
+
+
+def node_slot(m, hat, node):
+    off = m.row_basis.offsets
+    return hat[off[node] : off[node + 1]]
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +102,9 @@ def test_ones_kernel_rank_one_exact(tree512):
     used = np.unique(m.blocks.lr_row)
     assert (m.row_basis.ranks[used] == 1).all()
     t = tree512
-    for i, j, s in zip(m.blocks.lr_row, m.blocks.lr_col, m.blocks.lr_s):
-        ui = m.row_basis.explicit_basis(t, int(i))
-        vj = m.col_basis.explicit_basis(t, int(j))
+    for i, j, s in lowrank_blocks(m):
+        ui = m.row_basis.explicit_basis(t, i)
+        vj = m.row_basis.explicit_basis(t, j)
         rebuilt = ui @ s @ vj.T
         assert np.abs(rebuilt - 1.0).max() < 1e-12
 
@@ -108,10 +122,9 @@ def test_per_block_reconstruction_vs_oracle(h2_512, tree512):
     t = tree512
     m = h2_512
     worst = 0.0
-    for i, j, s in zip(m.blocks.lr_row, m.blocks.lr_col, m.blocks.lr_s):
-        i, j = int(i), int(j)
+    for i, j, s in lowrank_blocks(m):
         ui = m.row_basis.explicit_basis(t, i)
-        vj = m.col_basis.explicit_basis(t, j)
+        vj = m.row_basis.explicit_basis(t, j)
         si, ci = int(t.starts[i]), int(t.counts[i])
         sj, cj = int(t.starts[j]), int(t.counts[j])
         blk = a[si : si + ci, sj : sj + cj]
@@ -167,10 +180,10 @@ def test_upsweep_matches_explicit_bases(h2_512):
     xhat = upsweep(h2_512, x)
     xs = x[t.order]
     for node in range(t.n_nodes):
-        v = h2_512.col_basis.explicit_basis(t, node)
+        v = h2_512.row_basis.explicit_basis(t, node)
         s, c = int(t.starts[node]), int(t.counts[node])
         direct = v.T @ xs[s : s + c]
-        assert np.allclose(xhat[node], direct, atol=1e-10)
+        assert np.allclose(node_slot(h2_512, xhat, node), direct, atol=1e-10)
 
 
 def test_upsweep_single_leaf_direct():
@@ -180,8 +193,8 @@ def test_upsweep_single_leaf_direct():
     m = compress(t, LAPLACE, eps=1e-4)
     x = np.arange(12, dtype=float)
     xhat = upsweep(m, x)
-    v = m.col_basis.leaf_bases[0]
-    assert np.array_equal(xhat[0], v.T @ x[t.order])
+    v = m.row_basis.explicit_basis(t, 0)
+    assert np.array_equal(node_slot(m, xhat, 0), v.T @ x[t.order])
     assert all(not v.size or True for v in xhat)
     y = matvec(m, x)
     a = dense_matrix(ps, LAPLACE)
@@ -193,14 +206,15 @@ def test_coupling_accumulation_order_invariance(h2_512):
     x = rng.standard_normal(h2_512.n)
     xhat = upsweep(h2_512, x)
     yhat = coupling(h2_512, xhat)
-    # Shuffle the block order and accumulate again.
-    idx = rng.permutation(h2_512.blocks.n_lowrank)
-    shuffled = [np.zeros_like(v) for v in yhat]
-    for k in idx:
-        i = int(h2_512.blocks.lr_row[k])
-        j = int(h2_512.blocks.lr_col[k])
-        shuffled[i] = shuffled[i] + h2_512.blocks.lr_s[k] @ xhat[j]
-    for a, b in zip(yhat, shuffled):
+    # Apply every low-rank block, both orientations, one by one in a
+    # shuffled order, and accumulate again.
+    blocks = list(lowrank_blocks(h2_512))
+    shuffled = np.zeros_like(yhat)
+    for k in rng.permutation(len(blocks)):
+        i, j, s = blocks[k]
+        node_slot(h2_512, shuffled, i)[:] += s @ node_slot(h2_512, xhat, j)
+    for node in range(h2_512.octree.n_nodes):
+        a, b = node_slot(h2_512, yhat, node), node_slot(h2_512, shuffled, node)
         if a.size:
             assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
 
@@ -211,6 +225,30 @@ def test_phase_decomposition_exact(h2_512):
     full = matvec(h2_512, x)
     parts = dense_apply(h2_512, x) + downsweep(h2_512, coupling(h2_512, upsweep(h2_512, x)))
     assert np.array_equal(full, parts)
+
+
+def test_dense_and_downsweep_match_per_block_loops(h2_512):
+    # Loop references: each dense block evaluated on its own, and each
+    # node's explicit basis applied to its own accumulator.
+    m, t = h2_512, h2_512.octree
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(m.n)
+    xs, pos = x[t.order], t.particles.positions
+    ref = np.zeros(m.n)
+    for i, j in zip(m.blocks.dense_row, m.blocks.dense_col):
+        si, ci = int(t.starts[i]), int(t.counts[i])
+        sj, cj = int(t.starts[j]), int(t.counts[j])
+        blk = kernel_block(LAPLACE, pos[si : si + ci], pos[sj : sj + cj])
+        ref[si : si + ci] += blk @ xs[sj : sj + cj]
+    got = dense_apply(m, x)[t.order]
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    yhat = rng.standard_normal(int(m.row_basis.offsets[-1]))
+    ref = np.zeros(m.n)
+    for node in range(t.n_nodes):
+        s, c = int(t.starts[node]), int(t.counts[node])
+        ref[s : s + c] += m.row_basis.explicit_basis(t, node) @ node_slot(m, yhat, node)
+    got = downsweep(m, yhat)[t.order]
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_nesting_identity_per_node(tree512):
@@ -241,10 +279,11 @@ def test_nesting_identity_per_node(tree512):
 
 
 def test_leaf_bases_orthonormal(h2_512):
-    for basis in (h2_512.row_basis, h2_512.col_basis):
-        for u in basis.leaf_bases.values():
-            if u.size:
-                assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-12
+    t = h2_512.octree
+    for leaf in np.flatnonzero(t.is_leaf):
+        u = h2_512.row_basis.explicit_basis(t, leaf)
+        if u.size:
+            assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-12
 
 
 def test_storage_single_dense_leaf():
@@ -260,13 +299,31 @@ def test_storage_single_dense_leaf():
 def test_storage_ones_kernel_one_real_per_block(tree512):
     m = compress(tree512, KernelSpec("one"), eps=1e-6)
     st = storage_report(m)
-    assert st["coupling"] == 8 * m.blocks.n_lowrank
+    # S_ji = S_ij^T, so each symmetric pair of blocks is stored once.
+    assert st["coupling"] == 8 * m.blocks.n_lowrank // 2
+
+
+def test_storage_report_counts_held_bytes(h2_512):
+    st = storage_report(h2_512)
+    held = h2_512.row_basis.mats.data.nbytes
+    held += h2_512.blocks.coupling.data.nbytes + h2_512.blocks.dense.data.nbytes
+    assert st["total"] == held
+    assert st["leaf_bases"] + st["transfers"] == h2_512.row_basis.mats.data.nbytes
+    # Half of the reals of all low-rank blocks, each k_i x k_j.
+    ranks = h2_512.row_basis.ranks.astype(np.int64)
+    every = ranks[h2_512.blocks.lr_row] * ranks[h2_512.blocks.lr_col]
+    assert 2 * st["coupling"] == 8 * int(every.sum())
 
 
 def test_flop_report_matches_structure(h2_512):
     fl = flop_report(h2_512)
-    dense = sum(b.size for b in h2_512.blocks.dense_blocks)
+    counts = h2_512.octree.counts
+    pairs = zip(h2_512.blocks.dense_row, h2_512.blocks.dense_col)
+    dense = sum(int(counts[i] * counts[j]) for i, j in pairs)
     assert fl["dense"] == dense
+    ranks = h2_512.row_basis.ranks.astype(np.int64)
+    lowrank = ranks[h2_512.blocks.lr_row] * ranks[h2_512.blocks.lr_col]
+    assert fl["coupling"] == int(lowrank.sum())
     assert fl["total"] == sum(v for k, v in fl.items() if k != "total")
 
 
@@ -281,9 +338,11 @@ def test_max_rank_cap_flags_nodes(tree512):
 def test_hat_vector_level_major_order(h2_512):
     rng = np.random.default_rng(8)
     x = rng.standard_normal(h2_512.n)
-    xhat = upsweep(h2_512, x)
-    flat = hat_vector(h2_512, xhat)
-    assert flat.shape == (sum(int(h2_512.col_basis.ranks[n]) for n in range(h2_512.octree.n_nodes)),)
+    flat = upsweep(h2_512, x)
+    ranks = h2_512.row_basis.ranks
+    assert flat.shape == (sum(int(ranks[n]) for n in range(h2_512.octree.n_nodes)),)
+    # Node slots follow node id order, which is (level, Morton key) order.
+    assert np.array_equal(h2_512.row_basis.offsets, np.concatenate([[0], np.cumsum(ranks)]))
 
 
 def test_compress_validation(tree512):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from h2fmm.errors import ContainerError
 from h2fmm.geometry import DistributionSpec, generate
 from h2fmm.h2 import compress, matvec, storage_report
-from h2fmm.h2io import load_h2, save_h2
+from h2fmm.h2io import decode, load_h2, save_h2
 from h2fmm.kernels import KernelSpec
 from h2fmm.tree import build_tree
 
@@ -15,6 +18,17 @@ def small_h2():
     return compress(t, KernelSpec("laplace3d", regularization=1e-2), eps=1e-5)
 
 
+@pytest.fixture(scope="module")
+def tiny_container(tmp_path_factory):
+    """Bytes of a container small enough to cut at every offset."""
+    ps = generate(DistributionSpec("random-cube", 48, seed=3))
+    m = compress(build_tree(ps, 4), KernelSpec("laplace3d", regularization=1e-2), eps=1e-4)
+    assert m.blocks.coupling.data.size and m.blocks.dense.data.size
+    path = tmp_path_factory.mktemp("tiny") / "t.h2"
+    save_h2(m, path)
+    return path.read_bytes()
+
+
 def test_container_roundtrip_bitwise(small_h2, tmp_path):
     path = tmp_path / "m.h2"
     save_h2(small_h2, path)
@@ -24,15 +38,17 @@ def test_container_roundtrip_bitwise(small_h2, tmp_path):
     assert back.eps == small_h2.eps and back.eta == small_h2.eta
     assert np.array_equal(back.octree.keys, small_h2.octree.keys)
     assert np.array_equal(back.octree.order, small_h2.octree.order)
-    for node, u in small_h2.row_basis.leaf_bases.items():
-        assert np.array_equal(back.row_basis.leaf_bases[node], u)
-    for node, tr in small_h2.col_basis.transfers.items():
-        for child, mat in tr.items():
-            assert np.array_equal(back.col_basis.transfers[node][child], mat)
-    for a, b in zip(back.blocks.lr_s, small_h2.blocks.lr_s):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.blocks.dense_blocks, small_h2.blocks.dense_blocks):
-        assert np.array_equal(a, b)
+    assert np.array_equal(back.row_basis.ranks, small_h2.row_basis.ranks)
+    for name in ("lr_row", "lr_col", "dense_row", "dense_col"):
+        assert np.array_equal(getattr(back.blocks, name), getattr(small_h2.blocks, name))
+    pairs = (
+        (back.row_basis.mats, small_h2.row_basis.mats),
+        (back.blocks.coupling, small_h2.blocks.coupling),
+        (back.blocks.dense, small_h2.blocks.dense),
+    )
+    for a, b in pairs:
+        for field in ("ids", "ptr", "shapes", "data"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
     rng = np.random.default_rng(0)
     x = rng.standard_normal(small_h2.n)
     assert np.array_equal(matvec(back, x), matvec(small_h2, x))
@@ -53,3 +69,56 @@ def test_magic_and_version_checks(small_h2, tmp_path):
     bad2.write_bytes(bytes(worse))
     with pytest.raises(ValueError, match="version"):
         load_h2(bad2)
+
+
+def test_version_1_rejected(tiny_container):
+    raw = bytearray(tiny_container)
+    raw[4:8] = (1).to_bytes(4, "little")
+    with pytest.raises(ContainerError, match="version 1"):
+        decode(raw)
+
+
+def test_truncation_at_every_offset_rejected(tiny_container):
+    for cut in range(len(tiny_container)):
+        with pytest.raises(ContainerError):
+            decode(bytearray(tiny_container[:cut]))
+
+
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(suffix=st.binary(min_size=1, max_size=64))
+def test_appended_bytes_rejected(tiny_container, suffix):
+    with pytest.raises(ContainerError, match="trailing"):
+        decode(bytearray(tiny_container + suffix))
+
+
+def _resave(m, directory):
+    path = directory / "m.h2"
+    save_h2(m, path)
+    return path.read_bytes()
+
+
+def test_inconsistent_ranks_rejected(tiny_container, tmp_path):
+    m = decode(bytearray(tiny_container))
+    m.row_basis.ranks[np.argmax(m.row_basis.ranks)] -= 1
+    with pytest.raises(ContainerError, match="basis data"):
+        decode(bytearray(_resave(m, tmp_path)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dist=st.sampled_from(["random-cube", "sphere-surface", "plummer"]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+    kernel=st.sampled_from(["laplace3d", "laplace2d", "gaussian", "one"]),
+    eps=st.sampled_from([1e-2, 1e-5, 1e-8]),
+    leaf=st.integers(1, 16),
+)
+def test_save_load_save_byte_identical(tmp_path_factory, dist, n, seed, kernel, eps, leaf):
+    tree = build_tree(generate(DistributionSpec(dist, n, seed)), leaf)
+    m = compress(tree, KernelSpec(kernel, regularization=1e-2, sigma=0.5), eps=eps)
+    directory = tmp_path_factory.mktemp("resave")
+    raw = _resave(m, directory)
+    back = decode(bytearray(raw))
+    assert _resave(back, directory) == raw
+    x = np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(matvec(back, x), matvec(m, x))
