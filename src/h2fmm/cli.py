@@ -64,7 +64,7 @@ def _dist_kind(name: str) -> str:
 
 
 def _json_dump(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path is None or path == "-":
         print(text)
     else:
@@ -167,6 +167,8 @@ def cmd_matvec(args) -> int:
         x = np.loadtxt(args.x, delimiter=",")
         if x.shape != (n,):
             raise ConfigurationError(f"vector length {x.shape} does not match N={n}")
+        if not np.isfinite(x).all():
+            raise ConfigurationError(f"vector {args.x} holds a non-finite value")
     else:
         x = rng.standard_normal(n)
     t0 = time.time()

@@ -14,6 +14,7 @@ Counts are in cell units: one cell is one multipole/basis payload.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +23,15 @@ import numpy as np
 from .errors import ConfigurationError, PartitionError
 from .geometry import DistributionSpec, generate
 from .morton import decode_cells, encode_cells
-from .tree import Octree, _ranges_concat, balance_2to1, build_tree, leaf_adjacency_pairs
+from .tree import (
+    _OFFSETS,
+    Octree,
+    _ranges_concat,
+    balance_2to1,
+    build_tree,
+    leaf_adjacency_pairs,
+    sorted_unique,
+)
 
 PHASES = ("global-m2m", "global-m2l", "local-m2l", "local-p2p")
 MODES = ("periodic", "truncated")
@@ -42,9 +51,6 @@ class Partition:
     leaf_process: np.ndarray  # per leaf-table position
     proc_leaf_ptr: np.ndarray  # (P+1,) leaf-table boundaries
     proc_particle_counts: np.ndarray
-
-    def process_of_leaf(self, leaf_pos: int) -> int:
-        return int(self.leaf_process[leaf_pos])
 
 
 def partition_sfc(tree: Octree, P: int) -> Partition:
@@ -108,14 +114,6 @@ class GlobalLocalSplit:
     @property
     def global_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.tags == TAG_GLOBAL)
-
-    def local_root_of(self, process: int) -> int:
-        roots = self.local_roots[process]
-        if len(roots) != 1:
-            raise ValueError(
-                f"process {process} has {len(roots)} local roots; no unique root"
-            )
-        return int(roots[0])
 
 
 def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
@@ -270,18 +268,6 @@ def uniform_local_depth(n_per_p: float, leaf_capacity: int = 1) -> int:
     return int(math.ceil(round(math.log(n_per_p / leaf_capacity, 8), 12)))
 
 
-_DIRS = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-    ],
-    dtype=np.int64,
-)
-
-
 def _halo_cells(i: int, width: int, dir_mask) -> np.ndarray:
     """Cells received over each of the 26 directions for a 2^i-side grid.
 
@@ -289,19 +275,19 @@ def _halo_cells(i: int, width: int, dir_mask) -> np.ndarray:
     (2^i)^(3-d) cells; ``dir_mask`` selects the directions whose
     neighbor process exists.
     """
-    nz = (np.abs(_DIRS) > 0).sum(axis=1)
+    nz = (np.abs(_OFFSETS) > 0).sum(axis=1)
     vol = (width**nz) * (2**i) ** (3 - nz)
     return (vol * dir_mask).sum(axis=-1)
 
 
-def _process_dir_mask(P: int, g: int, mode: str):
-    """(P, 26) mask of directions with an existing neighbor process."""
+def _process_dir_mask(P: int, g: int, mode: str, level: int):
+    """(P, 26) mask of directions in which the level-``level`` ancestor of
+    each process's level-g cell has a neighbor."""
     if mode == "periodic":
         return np.ones((P, 26), dtype=np.int64)
-    pids = np.arange(P, dtype=np.uint64)
-    coords = decode_cells(pids, g)
-    side = 1 << g
-    nb = coords[:, None, :] + _DIRS[None, :, :]
+    coords = decode_cells(np.arange(P, dtype=np.uint64), g) >> (g - level)
+    side = 1 << level
+    nb = coords[:, None, :] + _OFFSETS[None, :, :]
     return ((nb >= 0) & (nb < side)).all(axis=2).astype(np.int64)
 
 
@@ -339,7 +325,7 @@ def uniform_comm_report(
     if model == "direct":
         # Every process owns a coarse cell of everyone's essential tree.
         partners = np.full(P, P - 1, dtype=np.int64)
-        dir_mask = _process_dir_mask(P, g, "truncated")
+        dir_mask = _process_dir_mask(P, g, "truncated", g)
         cells = zeros()
         for i in range(1, g + 1):
             side = 1 << i
@@ -356,7 +342,7 @@ def uniform_comm_report(
             distribution, P * n_per_p, P, n_per_p, mode, model, seed, {"direct-let": res}
         )
 
-    dir_mask = _process_dir_mask(P, g, mode)
+    dir_mask = _process_dir_mask(P, g, mode, g)
     n_dirs = dir_mask.sum(axis=1)
 
     # Global M2M: the 7 sibling-group partners always exist for P = 8^g.
@@ -375,13 +361,7 @@ def uniform_comm_report(
     recv = zeros()
     per_level = []
     for i in range(1, g + 1):
-        if mode == "periodic":
-            lvl_partners = np.full(P, 26, dtype=np.int64)
-        else:
-            side = 1 << i
-            anc = decode_cells(np.arange(P, dtype=np.uint64), g) >> (g - i)
-            nb = anc[:, None, :] + _DIRS[None, :, :]
-            lvl_partners = ((nb >= 0) & (nb < side)).all(axis=2).sum(axis=1)
+        lvl_partners = _process_dir_mask(P, g, mode, i).sum(axis=1)
         partners += lvl_partners
         recv += 8 * lvl_partners
         per_level.append((i, int(lvl_partners.max()), int(8 * lvl_partners.max())))
@@ -436,32 +416,34 @@ def uniform_phase_level_counts(P: int, n_per_p: int, mode: str = "periodic", lea
 # General (tree) engine
 
 
-def _level_pairs(tree: Octree, level: int, radius: int):
-    """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius``."""
+def _level_pairs(tree: Octree, level: int, radius: int, sources=None):
+    """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius``.
+
+    ``sources``, a boolean mask over all nodes, limits ``src`` to the
+    masked nodes; they alone are decoded and looked up.
+    """
     lo, hi = int(tree.level_ptr[level]), int(tree.level_ptr[level + 1])
-    if hi == lo:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
     keys = tree.keys[lo:hi]
-    coords = decode_cells(keys, level)
+    sel = np.arange(hi - lo) if sources is None else np.flatnonzero(sources[lo:hi])
+    if not len(sel):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    coords = decode_cells(keys[sel], level)
     side = 1 << level
+    shifts = range(-radius, radius + 1)
+    # inside[axis][d]: the coordinate moved by d along axis stays on the grid.
+    inside = [{d: (c + d >= 0) & (c + d < side) for d in shifts} for c in coords.T]
+    padded = np.append(keys, _U(np.iinfo(np.uint64).max))  # never a level key
     srcs, dsts = [], []
-    offsets = [
-        np.array(o, dtype=np.int64)
-        for o in np.ndindex(2 * radius + 1, 2 * radius + 1, 2 * radius + 1)
-    ]
-    for off in offsets:
-        off = off - radius
-        if not off.any():
+    for off in itertools.product(shifts, repeat=3):
+        if not any(off):
             continue
-        nc = coords + off[None, :]
-        valid = ((nc >= 0) & (nc < side)).all(axis=1)
-        if not valid.any():
+        src = np.flatnonzero(inside[0][off[0]] & inside[1][off[1]] & inside[2][off[2]])
+        if not len(src):
             continue
-        src = np.flatnonzero(valid)
-        nk = encode_cells(nc[src].astype(np.uint64), level)
+        nk = encode_cells((coords[src] + off).astype(np.uint64), level)
         pos = np.searchsorted(keys, nk)
-        found = (pos < len(keys)) & (keys[np.minimum(pos, len(keys) - 1)] == nk)
-        srcs.append(src[found] + lo)
+        found = padded[pos] == nk
+        srcs.append(sel[src[found]] + lo)
         dsts.append(pos[found] + lo)
     if not srcs:
         return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -487,14 +469,14 @@ def _accumulate_phase(split, phase, level_pairs):
     for level, (p_arr, cell_arr) in level_pairs:
         if not len(p_arr):
             continue
-        packed = np.unique(p_arr * np.int64(n_nodes) + cell_arr)
+        packed = sorted_unique(p_arr * np.int64(n_nodes) + cell_arr)
         p = packed // n_nodes
         cell = packed % n_nodes
         sender = split.owner_lo[cell].astype(np.int64)
         lvl_recv = np.bincount(p, minlength=P)
         recv += lvl_recv
         sent += np.bincount(sender, minlength=P)
-        pp = np.unique(p * np.int64(P) + sender)
+        pp = sorted_unique(p * np.int64(P) + sender)
         lvl_partners = np.bincount(pp // P, minlength=P)
         partners += lvl_partners
         per_level.append((level, int(lvl_partners.max()), int(lvl_recv.max())))
@@ -532,11 +514,10 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
 def sim_global_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """Interaction halos of global-tree cells, two cells wide per level."""
     tree = split.tree
+    sources = split.tags != TAG_LOCAL
     level_pairs = []
     for level in range(1, split.sim_depth + 1):
-        src, dst = _level_pairs(tree, level, radius=2)
-        keep = split.tags[src] != TAG_LOCAL
-        src, dst = src[keep], dst[keep]
+        src, dst = _level_pairs(tree, level, radius=2, sources=sources)
         procs, idx = _expand_owners(split, src)
         cells = dst[idx]
         inside = (procs >= split.owner_lo[cells]) & (procs <= split.owner_hi[cells])
@@ -554,10 +535,11 @@ def sim_local_m2l(tree: Octree, partition: Partition, split: GlobalLocalSplit = 
     if split is None:
         split = split_global_local(tree, partition)
     depth = len(tree.level_ptr) - 2
+    sources = split.tags == TAG_LOCAL
     level_pairs = []
     for level in range(1, depth + 1):
-        src, dst = _level_pairs(tree, level, radius=2)
-        keep = (split.tags[src] == TAG_LOCAL) & (split.tags[dst] != TAG_GLOBAL)
+        src, dst = _level_pairs(tree, level, radius=2, sources=sources)
+        keep = split.tags[dst] != TAG_GLOBAL
         src, dst = src[keep], dst[keep]
         p = split.owner_lo[src].astype(np.int64)
         q = split.owner_lo[dst].astype(np.int64)
@@ -607,7 +589,7 @@ def sim_direct_let(tree: Octree, partition: Partition, split: GlobalLocalSplit =
     p_arr = np.concatenate(need_p)
     cell_arr = np.concatenate(need_cell)
     n_nodes = tree.n_nodes
-    packed = np.unique(p_arr * np.int64(n_nodes) + cell_arr)
+    packed = sorted_unique(p_arr * np.int64(n_nodes) + cell_arr)
     p = packed // n_nodes
     cell = packed % n_nodes
     recv = np.bincount(p, minlength=P)
@@ -616,7 +598,7 @@ def sim_direct_let(tree: Octree, partition: Partition, split: GlobalLocalSplit =
     span = (split.owner_hi[cell] - split.owner_lo[cell] + 1).astype(np.int64)
     owners = _ranges_concat(split.owner_lo[cell].astype(np.int64), span)
     p_rep = np.repeat(p, span)
-    pq = np.unique(p_rep * np.int64(P) + owners)
+    pq = sorted_unique(p_rep * np.int64(P) + owners)
     partners = np.bincount(pq // P, minlength=P)
     return PhaseResult("direct-let", partners, sent, recv)
 

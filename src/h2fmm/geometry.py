@@ -66,7 +66,8 @@ class ParticleSet:
             self.charges = np.asarray(self.charges, dtype=np.float64)
         if len(self.indices) != n or len(self.charges) != n:
             raise ValueError("positions, indices and charges must have equal length")
-        if len(np.unique(self.indices)) != n:
+        ids = np.sort(self.indices)
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("particle indices must be unique")
 
     def __len__(self) -> int:

