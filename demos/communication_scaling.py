@@ -14,7 +14,7 @@ from h2fmm import (
 
 # Exact per-level counts for a full tree split over 64 processes.
 print("interior-process counts per level (P=64, N/P=8^4, unit leaf capacity):")
-levels = uniform_phase_level_counts(64, 8**4, "periodic", leaf_capacity=1)
+levels = uniform_phase_level_counts(64, 8**4, leaf_capacity=1)
 for phase, rows in levels.items():
     for level, partners, per_partner, recv in rows:
         per = "-" if per_partner is None else str(per_partner)

@@ -63,6 +63,17 @@ def _dist_kind(name: str) -> str:
         ) from None
 
 
+def _int_list(flag, text):
+    """The comma-separated integers >= 1 given to ``flag``."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise ConfigurationError(f"{flag} takes comma-separated integers >= 1, got {text!r}")
+    return values
+
+
 def _json_dump(obj, path):
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path is None or path == "-":
@@ -97,7 +108,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tree_stats(args) -> int:
-    n_values = [int(v) for v in args.n_values.split(",")]
+    n_values = _int_list("--n-values", args.n_values)
     dists = [_dist_kind(d) for d in args.dists.split(",")]
     lines = ["distribution,n,depth"]
     for kind in dists:
@@ -164,7 +175,10 @@ def cmd_matvec(args) -> int:
     n = h2.n
     rng = np.random.Generator(np.random.PCG64(args.seed))
     if args.x:
-        x = np.loadtxt(args.x, delimiter=",")
+        try:
+            x = np.loadtxt(args.x, delimiter=",")
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read vector {args.x}: {exc}") from None
         if x.shape != (n,):
             raise ConfigurationError(f"vector length {x.shape} does not match N={n}")
         if not np.isfinite(x).all():
@@ -209,8 +223,8 @@ def cmd_matvec(args) -> int:
 
 def cmd_commsim(args) -> int:
     kind = _dist_kind(args.dist)
-    P_values = [int(v) for v in args.P.split(",")]
-    NP_values = [int(v) for v in args.n_per_p.split(",")]
+    P_values = _int_list("--P", args.P)
+    NP_values = _int_list("--n-per-p", args.n_per_p)
     spec = DistributionSpec(kind, max(NP_values), args.seed)
     reports = run_comm_experiment(
         spec,

@@ -49,7 +49,6 @@ class Partition:
 
     P: int
     leaf_process: np.ndarray  # per leaf-table position
-    proc_leaf_ptr: np.ndarray  # (P+1,) leaf-table boundaries
     proc_particle_counts: np.ndarray
 
 
@@ -78,7 +77,7 @@ def partition_sfc(tree: Octree, P: int) -> Partition:
     ptr = np.concatenate([[0], cuts, [n_leaves]]).astype(np.int64)
     leaf_process = np.repeat(np.arange(P, dtype=np.int32), np.diff(ptr))
     pcounts = np.add.reduceat(counts, ptr[:-1]) if n_leaves else np.zeros(P, np.int64)
-    return Partition(P=P, leaf_process=leaf_process, proc_leaf_ptr=ptr, proc_particle_counts=pcounts)
+    return Partition(P=P, leaf_process=leaf_process, proc_particle_counts=pcounts)
 
 
 TAG_LOCAL = 0
@@ -124,8 +123,7 @@ def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
     lo = np.full(n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
     hi = np.full(n_nodes, -1, dtype=np.int64)
     lo[tree.leaf_ids] = hi[tree.leaf_ids] = leaf_pos[tree.leaf_ids]
-    depth = len(tree.level_ptr) - 2
-    for level in range(depth, 0, -1):
+    for level in range(tree.depth, 0, -1):
         ids = tree.level_nodes(level)
         p = tree.parents[ids]
         np.minimum.at(lo, p, lo[ids])
@@ -392,24 +390,22 @@ def uniform_comm_report(
     return CommReport(distribution, P * n_per_p, P, n_per_p, mode, model, seed, phases)
 
 
-def uniform_phase_level_counts(P: int, n_per_p: int, mode: str = "periodic", leaf_capacity: int = 1):
+def uniform_phase_level_counts(P: int, n_per_p: int, leaf_capacity: int = 1):
     """Interior-process per-level counts, keyed by phase.
 
-    Returns {phase: [(level, partners, cells_per_partner, cells_recv)]}.
+    Returns {phase: [(level, partners, cells_per_partner, cells_recv)]},
+    read off the per-level rows of the periodic report.  A global phase
+    ships the same bundle to every partner; a local halo does not, so
+    its cells_per_partner is None.
     """
-    g = _log8(P)
-    ell = uniform_local_depth(n_per_p, leaf_capacity)
-    out = {name: [] for name in PHASES}
-    if P == 1:
-        return out
-    for i in range(1, g + 1):
-        out["global-m2m"].append((i, 7, 1, 7))
-        out["global-m2l"].append((i, 26, 8, 208))
-    for i in range(1, ell + 1):
-        out["local-m2l"].append((i, 26, None, (2**i + 4) ** 3 - 8**i))
-    if ell >= 1:
-        out["local-p2p"].append((ell, 26, None, (2**ell + 2) ** 3 - 8**ell))
-    return out
+    rep = uniform_comm_report(P, n_per_p, leaf_capacity=leaf_capacity)
+    return {
+        name: [
+            (i, partners, recv // partners if name.startswith("global") else None, recv)
+            for i, partners, recv in ph.per_level
+        ]
+        for name, ph in rep.phases.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -450,29 +446,38 @@ def _level_pairs(tree: Octree, level: int, radius: int, sources=None):
     return np.concatenate(srcs), np.concatenate(dsts)
 
 
-def _expand_owners(split, nodes):
-    """(process, repeated-node-position) pairs over each node's owner span."""
+def _remote(split, procs, cells):
+    """The (process, cell) needs whose process does not co-own the cell."""
+    keep = (procs < split.owner_lo[cells]) | (procs > split.owner_hi[cells])
+    return procs[keep], cells[keep]
+
+
+def _owner_needs(split, nodes, cells):
+    """Pair every owner of ``nodes[i]`` with ``cells[i]``."""
     span = (split.owner_hi[nodes] - split.owner_lo[nodes] + 1).astype(np.int64)
     procs = _ranges_concat(split.owner_lo[nodes].astype(np.int64), span)
-    idx = np.repeat(np.arange(len(nodes)), span)
-    return procs, idx
+    return procs, np.repeat(cells, span)
 
 
-def _accumulate_phase(split, phase, level_pairs):
-    """Reduce per-level (p, cell, sender) needs into a PhaseResult."""
+def _dedup(split, procs, cells):
+    """Distinct (process, cell) needs, each with its sender: the cell's first owner."""
+    n_nodes = np.int64(split.tree.n_nodes)
+    packed = sorted_unique(procs * n_nodes + cells)
+    cells = packed % n_nodes
+    return packed // n_nodes, cells, split.owner_lo[cells].astype(np.int64)
+
+
+def _accumulate_phase(split, phase, level_needs):
+    """Reduce per-level remote (level, processes, cells) needs into a PhaseResult."""
     P = split.partition.P
     partners = np.zeros(P, dtype=np.int64)
     sent = np.zeros(P, dtype=np.int64)
     recv = np.zeros(P, dtype=np.int64)
     per_level = []
-    n_nodes = split.tree.n_nodes
-    for level, (p_arr, cell_arr) in level_pairs:
-        if not len(p_arr):
+    for level, procs, cells in level_needs:
+        if not len(procs):
             continue
-        packed = sorted_unique(p_arr * np.int64(n_nodes) + cell_arr)
-        p = packed // n_nodes
-        cell = packed % n_nodes
-        sender = split.owner_lo[cell].astype(np.int64)
+        p, _, sender = _dedup(split, procs, cells)
         lvl_recv = np.bincount(p, minlength=P)
         recv += lvl_recv
         sent += np.bincount(sender, minlength=P)
@@ -491,116 +496,82 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
     owner.
     """
     tree = split.tree
-    level_pairs = []
+    needs = []
     for level in range(1, split.sim_depth + 1):
         ids = tree.level_nodes(level)
         ids = ids[split.tags[ids] != TAG_LOCAL]
-        if not len(ids):
-            level_pairs.append((level, (np.empty(0, np.int64), np.empty(0, np.int64))))
-            continue
         parents = tree.parents[ids].astype(np.int64)
         sib_count = tree.child_count[parents].astype(np.int64)
         sibs = _ranges_concat(tree.child_start[parents].astype(np.int64), sib_count)
         owners = np.repeat(ids, sib_count)
         keep = sibs != owners
-        a_nodes, s_nodes = owners[keep], sibs[keep]
-        procs, idx = _expand_owners(split, a_nodes)
-        cells = s_nodes[idx]
-        inside = (procs >= split.owner_lo[cells]) & (procs <= split.owner_hi[cells])
-        level_pairs.append((level, (procs[~inside], cells[~inside])))
-    return _accumulate_phase(split, "global-m2m", level_pairs)
+        needs.append((level, *_remote(split, *_owner_needs(split, owners[keep], sibs[keep]))))
+    return _accumulate_phase(split, "global-m2m", needs)
 
 
 def sim_global_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """Interaction halos of global-tree cells, two cells wide per level."""
     tree = split.tree
     sources = split.tags != TAG_LOCAL
-    level_pairs = []
+    needs = []
     for level in range(1, split.sim_depth + 1):
         src, dst = _level_pairs(tree, level, radius=2, sources=sources)
-        procs, idx = _expand_owners(split, src)
-        cells = dst[idx]
-        inside = (procs >= split.owner_lo[cells]) & (procs <= split.owner_hi[cells])
-        level_pairs.append((level, (procs[~inside], cells[~inside])))
-    return _accumulate_phase(split, "global-m2l", level_pairs)
+        needs.append((level, *_remote(split, *_owner_needs(split, src, dst))))
+    return _accumulate_phase(split, "global-m2l", needs)
 
 
-def sim_local_m2l(tree: Octree, partition: Partition, split: GlobalLocalSplit = None) -> PhaseResult:
+def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """Two-cell-wide halo enumeration below the local roots.
 
     Needed cells are existing same-level cells within Chebyshev distance
     two of a process's strictly-local cells, owned by another process
-    and not part of the global tree.
+    and not part of the global tree.  A cell that is not global has one
+    owner, so each source passes its ``owner_lo`` alone.
     """
-    if split is None:
-        split = split_global_local(tree, partition)
-    depth = len(tree.level_ptr) - 2
+    tree = split.tree
     sources = split.tags == TAG_LOCAL
-    level_pairs = []
-    for level in range(1, depth + 1):
+    needs = []
+    for level in range(1, tree.depth + 1):
         src, dst = _level_pairs(tree, level, radius=2, sources=sources)
         keep = split.tags[dst] != TAG_GLOBAL
-        src, dst = src[keep], dst[keep]
-        p = split.owner_lo[src].astype(np.int64)
-        q = split.owner_lo[dst].astype(np.int64)
-        cross = p != q
-        level_pairs.append((level, (p[cross], dst[cross])))
-    return _accumulate_phase(split, "local-m2l", level_pairs)
+        procs = split.owner_lo[src[keep]].astype(np.int64)
+        needs.append((level, *_remote(split, procs, dst[keep])))
+    return _accumulate_phase(split, "local-m2l", needs)
 
 
-def sim_local_p2p(tree: Octree, partition: Partition, split: GlobalLocalSplit = None) -> PhaseResult:
+def sim_local_p2p(split: GlobalLocalSplit) -> PhaseResult:
     """Adjacent-leaf halo across process boundaries (one cell wide)."""
-    if split is None:
-        split = split_global_local(tree, partition)
+    tree = split.tree
     q, m = leaf_adjacency_pairs(tree)
-    own_q = partition.leaf_process[q].astype(np.int64)
-    own_m = partition.leaf_process[m].astype(np.int64)
-    cross = own_q != own_m
-    cells = tree.leaf_ids[m[cross]].astype(np.int64)
-    level_pairs = [(0, (own_q[cross], cells))]
-    return _accumulate_phase(split, "local-p2p", level_pairs)
+    procs = split.partition.leaf_process[q].astype(np.int64)
+    needs = _remote(split, procs, tree.leaf_ids[m].astype(np.int64))
+    return _accumulate_phase(split, "local-p2p", [(0, *needs)])
 
 
-def sim_direct_let(tree: Octree, partition: Partition, split: GlobalLocalSplit = None) -> PhaseResult:
+def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     """Baseline without hierarchical aggregation.
 
     Every process pulls each cell of its essential tree individually;
     partners are all distinct owners of any needed cell, and coarse
     cells are owned by whole process groups.
     """
-    if split is None:
-        split = split_global_local(tree, partition)
-    P = partition.P
-    depth = len(tree.level_ptr) - 2
-    need_p, need_cell = [], []
-    for level in range(1, depth + 1):
+    tree = split.tree
+    P = split.partition.P
+    needs = []
+    for level in range(1, tree.depth + 1):
         src, dst = _level_pairs(tree, level, radius=2)
-        procs, idx = _expand_owners(split, src)
-        cells = dst[idx]
-        inside = (procs >= split.owner_lo[cells]) & (procs <= split.owner_hi[cells])
-        need_p.append(procs[~inside])
-        need_cell.append(cells[~inside])
+        needs.append(_remote(split, *_owner_needs(split, src, dst)))
     q, m = leaf_adjacency_pairs(tree)
-    own_q = partition.leaf_process[q].astype(np.int64)
-    cells = tree.leaf_ids[m].astype(np.int64)
-    inside = (own_q >= split.owner_lo[cells]) & (own_q <= split.owner_hi[cells])
-    need_p.append(own_q[~inside])
-    need_cell.append(cells[~inside])
-    p_arr = np.concatenate(need_p)
-    cell_arr = np.concatenate(need_cell)
-    n_nodes = tree.n_nodes
-    packed = sorted_unique(p_arr * np.int64(n_nodes) + cell_arr)
-    p = packed // n_nodes
-    cell = packed % n_nodes
+    procs = split.partition.leaf_process[q].astype(np.int64)
+    needs.append(_remote(split, procs, tree.leaf_ids[m].astype(np.int64)))
+    procs, cells = (np.concatenate(a) for a in zip(*needs))
+    p, cell, sender = _dedup(split, procs, cells)
     recv = np.bincount(p, minlength=P)
-    sent = np.bincount(split.owner_lo[cell].astype(np.int64), minlength=P)
+    sent = np.bincount(sender, minlength=P)
     # Partner set: every owner of every needed cell.
-    span = (split.owner_hi[cell] - split.owner_lo[cell] + 1).astype(np.int64)
-    owners = _ranges_concat(split.owner_lo[cell].astype(np.int64), span)
-    p_rep = np.repeat(p, span)
+    owners, p_rep = _owner_needs(split, cell, p)
     pq = sorted_unique(p_rep * np.int64(P) + owners)
-    partners = np.bincount(pq // P, minlength=P)
-    return PhaseResult("direct-let", partners, sent, recv)
+    return PhaseResult("direct-let", np.bincount(pq // P, minlength=P), sent, recv)
 
 
 def simulate_comm(
@@ -613,14 +584,10 @@ def simulate_comm(
     """Run the general engine over an explicit tree and partition."""
     split = split_global_local(tree, partition)
     if model == "direct":
-        phases = {"direct-let": sim_direct_let(tree, partition, split)}
+        sims = (sim_direct_let,)
     else:
-        phases = {
-            "global-m2m": sim_global_m2m(split),
-            "global-m2l": sim_global_m2l(split),
-            "local-m2l": sim_local_m2l(tree, partition, split),
-            "local-p2p": sim_local_p2p(tree, partition, split),
-        }
+        sims = (sim_global_m2m, sim_global_m2l, sim_local_m2l, sim_local_p2p)
+    phases = {ph.phase: ph for ph in (sim(split) for sim in sims)}
     return CommReport(
         distribution=distribution,
         n=tree.n_particles,
@@ -694,14 +661,14 @@ def run_comm_experiment(
     counting: str = "auto",
     leaf_capacity: int = 1,
     tree_leaf_capacity: int = 16,
-    balance: bool = True,
 ) -> list:
     """Sweep (P, N/P) combinations and return one CommReport per run.
 
     ``counting="uniform"`` evaluates the closed-form full-tree counts
     (random-cube only, P a power of 8, no particles generated) with
     ``leaf_capacity`` entering the local-depth formula; ``"general"``
-    builds the actual adaptive tree per run at ``tree_leaf_capacity``.
+    builds the actual 2:1-balanced adaptive tree per run at
+    ``tree_leaf_capacity``.
     ``"auto"`` picks uniform for random-cube and general otherwise.
     """
     if counting == "auto":
@@ -728,9 +695,7 @@ def run_comm_experiment(
                 continue
             n = int(P) * int(n_per_p)
             particles = generate(DistributionSpec(spec.kind, n, spec.seed))
-            tree = build_tree(particles, tree_leaf_capacity)
-            if balance:
-                tree = balance_2to1(tree)
+            tree = balance_2to1(build_tree(particles, tree_leaf_capacity))
             partition = partition_sfc(tree, int(P))
             reports.append(
                 simulate_comm(tree, partition, distribution=spec.kind, seed=spec.seed, model=model)

@@ -7,6 +7,7 @@ any platform.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,11 +159,38 @@ def save_csv(particles: ParticleSet, path) -> None:
         fh.write(buf.getvalue())
 
 
+def _from_records(path, records) -> ParticleSet:
+    """Particles of a loaded file, or ConfigurationError if they are unusable."""
+    positions = np.column_stack([records["x"], records["y"], records["z"]])
+    if not len(records):
+        raise ConfigurationError(f"particle file {path} holds no particles")
+    if not ((positions >= 0.0) & (positions < 1.0)).all():
+        raise ConfigurationError(f"particle file {path}: positions must lie in [0,1)^3")
+    if not np.isfinite(records["charge"]).all():
+        raise ConfigurationError(f"particle file {path} holds a non-finite charge")
+    try:
+        return ParticleSet(positions, records["index"].astype(np.int64), records["charge"].copy())
+    except ValueError as exc:
+        raise ConfigurationError(f"particle file {path}: {exc}") from None
+
+
 def load_csv(path) -> ParticleSet:
-    data = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-    data = np.atleast_1d(data)
-    positions = np.column_stack([data["x"], data["y"], data["z"]])
-    return ParticleSet(positions, data["index"].astype(np.int64), data["charge"])
+    """Read particles written by ``save_csv``; columns may come in any order.
+
+    A missing file, another set of columns, a short row, a field that is
+    not a number or an unusable particle raises ConfigurationError.
+    """
+    try:
+        with open(path) as fh:
+            names = fh.readline().strip().split(",")
+            if sorted(names) != sorted(_RECORD_DTYPE.names):
+                raise ValueError("the header must name the columns index,x,y,z,charge")
+            dtype = np.dtype([(name, _RECORD_DTYPE[name]) for name in names])
+            with warnings.catch_warnings(action="ignore"):  # no rows: rejected below
+                records = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read particle file {path}: {exc}") from None
+    return _from_records(path, records)
 
 
 def save_binary(particles: ParticleSet, path) -> None:
@@ -181,9 +209,16 @@ def save_binary(particles: ParticleSet, path) -> None:
 
 
 def load_binary(path) -> ParticleSet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    n = int(np.frombuffer(raw[:8], dtype="<u8")[0])
-    records = np.frombuffer(raw[8:], dtype=_RECORD_DTYPE, count=n)
-    positions = np.column_stack([records["x"], records["y"], records["z"]])
-    return ParticleSet(positions, records["index"].astype(np.int64), records["charge"].copy())
+    """Read the format of ``save_binary``: the file must be 8 + 40 * count bytes."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read particle file {path}: {exc}") from None
+    count = int(np.frombuffer(raw[:8], dtype="<u8")[0]) if len(raw) >= 8 else -1
+    if len(raw) != 8 + _RECORD_DTYPE.itemsize * count:
+        raise ConfigurationError(
+            f"particle file {path} is {len(raw)} bytes; a binary particle file "
+            f"is an 8-byte count then {_RECORD_DTYPE.itemsize} bytes per particle"
+        )
+    return _from_records(path, np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=8))

@@ -47,7 +47,7 @@ def report(criterion, label, ok, detail=""):
 def test_criterion_01_table3_exact_counts():
     ok = True
     for g in (1, 2, 3):
-        levels = uniform_phase_level_counts(8**g, 8**5, "periodic", leaf_capacity=1)
+        levels = uniform_phase_level_counts(8**g, 8**5, leaf_capacity=1)
         ok &= all(row == (i + 1, 7, 1, 7) for i, row in enumerate(levels["global-m2m"]))
         ok &= all(row == (i + 1, 26, 8, 208) for i, row in enumerate(levels["global-m2l"]))
         ok &= [r[3] for r in levels["local-m2l"]] == [

@@ -212,6 +212,46 @@ def test_matvec_non_finite_vector_rejected(compressed, tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", ["1.0,abc\n", None])
+def test_matvec_unreadable_vector_rejected(compressed, tmp_path, capsys, content):
+    container, _ = compressed
+    x = tmp_path / "x.csv"
+    if content is not None:
+        x.write_text(content)
+    rc = run(["matvec", "--matrix", str(container), "--x", str(x), "--summary", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["p.csv", "p.bin"])
+def test_compress_bad_particle_file_exit_code(tmp_path, capsys, name):
+    bad = tmp_path / name
+    bad.write_text("index,x,y,z,charge\n0.1,0.2,abc\n")
+    rc = run(["compress", "--in", str(bad), "--kernel", "gaussian", "--summary", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, args",
+    [
+        ("--P", ["commsim", "--P", "8,abc", "--n-per-p", "64"]),
+        ("--P", ["commsim", "--P", "", "--n-per-p", "64"]),
+        ("--P", ["commsim", "--P", "0", "--n-per-p", "64"]),
+        ("--n-per-p", ["commsim", "--P", "8", "--n-per-p", "64,-1"]),
+        ("--n-per-p", ["commsim", "--P", "8", "--n-per-p", "64,,512"]),
+        ("--n-values", ["tree-stats", "--n-values", "10,x"]),
+    ],
+)
+def test_list_flags_rejected(tmp_path, capsys, flag, args):
+    rc = run(args + ["--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
 def test_matvec_oracle_guard_exit_code(compressed, tmp_path, monkeypatch):
     container, _ = compressed
     monkeypatch.setenv("H2FMM_ORACLE_MAX", "100")

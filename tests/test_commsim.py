@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2fmm.commsim import (
     CSV_HEADER,
     PHASES,
+    TAG_GLOBAL,
+    TAG_LOCAL_ROOT,
     _level_pairs,
     fit_scaling,
     partition_sfc,
@@ -24,7 +28,7 @@ from h2fmm.commsim import (
     write_reports_csv,
 )
 from h2fmm.errors import ConfigurationError, PartitionError
-from h2fmm.geometry import DistributionSpec, ParticleSet, generate
+from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, ParticleSet, generate
 from h2fmm.morton import decode_cells
 from h2fmm.tree import balance_2to1, build_tree
 
@@ -107,7 +111,7 @@ def test_split_plummer_depth_bound():
 
 
 def test_table_levels_match_halo_formulas():
-    levels = uniform_phase_level_counts(64, 8**4, "periodic", leaf_capacity=1)
+    levels = uniform_phase_level_counts(64, 8**4, leaf_capacity=1)
     assert levels["global-m2m"] == [(1, 7, 1, 7), (2, 7, 1, 7)]
     assert levels["global-m2l"] == [(1, 26, 8, 208), (2, 26, 8, 208)]
     for i, partners, _, recv in levels["local-m2l"]:
@@ -189,7 +193,7 @@ def test_general_uniform_matches_sibling_counts():
     m2m = sim_global_m2m(sp)
     assert (m2m.partners == 7).all()
     assert (m2m.cells_recv == 7).all()
-    m2m_direct = sim_direct_let(t, part, sp)
+    m2m_direct = sim_direct_let(sp)
     assert (m2m_direct.partners == 7).all()  # at P=8 everyone needs everyone
 
 
@@ -199,7 +203,7 @@ def test_general_conservation_and_bounds(plummer_run):
         ph = sim(sp)
         assert ph.total_sent == ph.total_recv
     for sim in (sim_local_m2l, sim_local_p2p):
-        ph = sim(tree, part, sp)
+        ph = sim(sp)
         assert ph.total_sent == ph.total_recv
         # Partner totals sum over levels; per level they cannot exceed P-1.
         assert all(pmax <= part.P - 1 for _, pmax, _ in ph.per_level)
@@ -209,7 +213,7 @@ def test_local_p2p_counts_match_leaf_adjacency(plummer_run):
     tree, part, sp = plummer_run
     from h2fmm.tree import leaf_adjacency_pairs
 
-    ph = sim_local_p2p(tree, part, sp)
+    ph = sim_local_p2p(sp)
     q, m = leaf_adjacency_pairs(tree)
     own_q = part.leaf_process[q]
     own_m = part.leaf_process[m]
@@ -225,6 +229,41 @@ def test_simulate_comm_report(plummer_run):
     rep.check_conservation()
     assert set(rep.phases) == set(PHASES)
     assert rep.P == 8 and rep.n == 8192
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 4000),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 64),
+    balanced=st.booleans(),
+    data=st.data(),
+)
+def test_split_and_conservation_on_random_partitions(kind, n, seed, leaf_capacity, balanced, data):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    part = partition_sfc(tree, data.draw(st.integers(1, tree.n_leaves), label="P"))
+    sp = split_global_local(tree, part)
+    # Global means multi-owner: the local phases take a cell's owner_lo as its only owner.
+    assert np.array_equal(sp.tags == TAG_GLOBAL, sp.owner_lo != sp.owner_hi)
+    # Each leaf's nearest local-root ancestor belongs to the leaf's process, and
+    # every process's local roots are exactly the roots of its own leaves.
+    anc = tree.leaf_ids.astype(np.int64)
+    for _ in range(tree.depth):
+        anc = np.where(sp.tags[anc] == TAG_LOCAL_ROOT, anc, np.maximum(tree.parents[anc], 0))
+    assert (sp.tags[anc] == TAG_LOCAL_ROOT).all()
+    assert np.array_equal(sp.owner_lo[anc], part.leaf_process)
+    for proc, roots in enumerate(sp.local_roots):
+        assert sorted(roots) == np.unique(anc[part.leaf_process == proc]).tolist()
+    for P in sorted({part.P, 1}):
+        for model in ("hier", "direct"):
+            rep = simulate_comm(tree, partition_sfc(tree, P), kind, model=model)
+            rep.check_conservation()
+            if P == 1:
+                for ph in rep.phases.values():
+                    assert not (ph.partners.any() or ph.cells_sent.any() or ph.cells_recv.any())
 
 
 def _count_digest(rep):
@@ -296,7 +335,7 @@ def test_direct_let_p1_zero():
     ph = rep.phase("direct-let")
     assert ph.total_recv == 0 and ph.partners.sum() == 0
     t = build_tree(generate(DistributionSpec("plummer", 400, seed=0)), 16)
-    gen = sim_direct_let(t, partition_sfc(t, 1))
+    gen = sim_direct_let(split_global_local(t, partition_sfc(t, 1)))
     assert gen.total_recv == 0 and gen.partners.sum() == 0
 
 

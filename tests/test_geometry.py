@@ -109,3 +109,50 @@ def test_particle_set_validation():
         ParticleSet(np.zeros((3, 3)), indices=np.array([0, 1, 1]))
     with pytest.raises(ValueError):
         ParticleSet(np.zeros((2, 3)), charges=np.ones(3))
+
+
+HEADER = "index,x,y,z,charge\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(HEADER + "0,0.1,0.2,abc,1.0\n", id="not-a-number"),
+        pytest.param(HEADER + "0,0.1,0.2,0.3,1.0\n1,0.1,0.2,0.3\n", id="short-row"),
+        pytest.param("index,x,y,charge\n0,0.1,0.2,1.0\n", id="missing-column"),
+        pytest.param(HEADER, id="no-particles"),
+        pytest.param(HEADER + "0,0.1,nan,0.3,1.0\n", id="nan-position"),
+        pytest.param(HEADER + "0,0.1,0.2,1.5,1.0\n", id="position-outside-cube"),
+        pytest.param(HEADER + "0,0.1,0.2,0.3,inf\n", id="infinite-charge"),
+        pytest.param(HEADER + "0,0.1,0.2,0.3,1.0\n0,0.4,0.2,0.3,1.0\n", id="repeated-index"),
+    ],
+)
+def test_malformed_csv_rejected(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError):
+        load_csv(path)
+
+
+def test_csv_columns_in_any_order(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("x,charge,z,index,y\n0.25,2.0,0.75,7,0.5\n")
+    ps = load_csv(path)
+    assert ps.positions.tolist() == [[0.25, 0.5, 0.75]]
+    assert ps.indices.tolist() == [7] and ps.charges.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("loader", [load_csv, load_binary])
+def test_missing_particle_file_rejected(tmp_path, loader):
+    with pytest.raises(ConfigurationError):
+        loader(tmp_path / "absent")
+
+
+@pytest.mark.parametrize("cut", ["short-header", "short-count", "trailing"])
+def test_binary_length_must_match_count(tmp_path, cut):
+    path = tmp_path / "p.bin"
+    save_binary(generate(DistributionSpec("plummer", 10, seed=1)), path)
+    raw = path.read_bytes()
+    path.write_bytes({"short-header": raw[:5], "short-count": raw[:-40], "trailing": raw + b"\0"}[cut])
+    with pytest.raises(ConfigurationError):
+        load_binary(path)
