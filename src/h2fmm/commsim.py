@@ -261,6 +261,8 @@ def _log8(P: int) -> int:
 
 def uniform_local_depth(n_per_p: float, leaf_capacity: int = 1) -> int:
     """Local-tree depth log8(n_per_p / leaf_capacity), rounded up."""
+    if leaf_capacity < 1:
+        raise ConfigurationError(f"leaf capacity must be >= 1, got {leaf_capacity}")
     if n_per_p <= leaf_capacity:
         return 0
     return int(math.ceil(round(math.log(n_per_p / leaf_capacity, 8), 12)))

@@ -9,12 +9,30 @@ and each admissible pair is stored once, as S_ij with i < j.  The basis,
 coupling and dense blocks are each packed into one array of shape groups
 (:class:`Packed`); a matvec phase is one batched product per group.
 
-Bases are built bottom-up from truncated SVDs of each node's far-field
-block row, with every admissible sub-block scaled to unit Frobenius norm
-first so the truncation tolerance applies to each block relative to its
-own size.  Interior nodes factor their children's projected rows, which
-yields the transfer matrices directly and makes the nesting identity
-testable per node.
+Bases are built bottom-up over skeleton points.  A node's rows are its
+particles at a leaf, or its children's skeleton points; its columns are
+a fixed surrogate of its far field: proxy points on shells at
+PROXY_SHELLS x rho around the node centre (rho = PROXY_RADIUS node
+half-widths, points outside the root box dropped), plus the particles of
+the far boxes that come within rho.  Each octant of a shell and each
+box is one column group, scaled to unit Frobenius norm after the
+children's reduction, and the truncated SVD of the reduced rows gives
+the leaf basis or the transfer matrices with the smallest rank that
+leaves every group within eps.  The node then keeps rank + 2 of its
+rows as skeletons, picked by pivoted Gram-Schmidt, and a small map G
+with U^T K(node, far) ~ G K(skeletons, far).  A parent reduces its rows
+with its children's G, and each coupling block is
+S_ij = G_i K(s_i, s_j) G_j^T, so the n_i x n_j kernel block of an
+admissible pair is never formed.
+
+Proxies stand for the far field of ``laplace3d`` and ``one``.  On a
+random cube of 2048 points they left up to 42 eps (``gaussian``, sigma
+0.1) and 3.7 eps (``laplace2d``) on a block of the exact far field, past
+the 3 eps the basis must meet, so those two kernels use rho = inf:
+their columns are the whole exact far field and their basis cost stays
+quadratic.  The achieved ``tails`` (and so ``flagged_nodes``) measure
+the truncation against the surrogate.  The container stores only the
+bases and blocks, so its format does not depend on how they were built.
 """
 from __future__ import annotations
 
@@ -30,7 +48,7 @@ from .tree import Octree, _ranges_concat
 
 DEFAULT_ETA = 1.75  # admits same-level cells separated by >= one cell width
 
-_CHUNK_ELEMENTS = 2**23  # cap on transient kernel-slice size, in reals
+_CHUNK_ELEMENTS = 2**20  # cap on the entries of one kernel_block call
 
 
 def _node_boxes(tree: Octree):
@@ -42,6 +60,18 @@ def _node_boxes(tree: Octree):
     return anchors, sizes
 
 
+def _box_gap2(lo_a, sa, lo_b, sb):
+    """Squared distance between the closed boxes lo + [0, s]^3, row by row."""
+    gap = np.maximum(0, np.maximum(lo_a - (lo_b + sb[..., None]), lo_b - (lo_a + sa[..., None])))
+    return (gap * gap).sum(axis=-1).astype(np.float64)
+
+
+def _admissible(lo_a, sa, lo_b, sb, eta):
+    """Row by row: max(diam)^2 <= eta^2 * dist^2 for the boxes lo + [0, s]^3."""
+    diam2 = 3.0 * np.maximum(sa, sb).astype(np.float64) ** 2
+    return diam2 <= eta * eta * _box_gap2(lo_a, sa, lo_b, sb)
+
+
 def admissible(row_cell: MortonKey, col_cell: MortonKey, eta: float = DEFAULT_ETA) -> bool:
     """Geometric admissibility: max(diam) <= eta * dist(boxes).
 
@@ -50,14 +80,11 @@ def admissible(row_cell: MortonKey, col_cell: MortonKey, eta: float = DEFAULT_ET
     by at least one full cell width (two cell widths center to center)
     are admissible.
     """
-    lo_a = np.asarray(row_cell.coords(), dtype=np.int64) << (MAX_LEVEL - row_cell.level)
-    lo_b = np.asarray(col_cell.coords(), dtype=np.int64) << (MAX_LEVEL - col_cell.level)
-    sa = np.int64(1) << (MAX_LEVEL - row_cell.level)
-    sb = np.int64(1) << (MAX_LEVEL - col_cell.level)
-    gap = np.maximum(0, np.maximum(lo_a - (lo_b + sb), lo_b - (lo_a + sa)))
-    dist2 = float((gap * gap).sum())
-    diam2 = 3.0 * float(max(sa, sb)) ** 2
-    return diam2 <= eta * eta * dist2
+    lo_a = np.array([row_cell.coords()], dtype=np.int64) << (MAX_LEVEL - row_cell.level)
+    lo_b = np.array([col_cell.coords()], dtype=np.int64) << (MAX_LEVEL - col_cell.level)
+    sa = np.array([1 << (MAX_LEVEL - row_cell.level)])
+    sb = np.array([1 << (MAX_LEVEL - col_cell.level)])
+    return bool(_admissible(lo_a, sa, lo_b, sb, eta)[0])
 
 
 @dataclass
@@ -142,19 +169,11 @@ def build_block_tree(tree: Octree, eta: float = DEFAULT_ETA) -> BlockTree:
     non-leaf side.
     """
     anchors, sizes = _node_boxes(tree)
-    eta2 = eta * eta
     cur_i = np.zeros(1, dtype=np.int64)
     cur_j = np.zeros(1, dtype=np.int64)
     lr_i, lr_j, dn_i, dn_j = [], [], [], []
     while len(cur_i):
-        lo_a = anchors[cur_i]
-        lo_b = anchors[cur_j]
-        sa = sizes[cur_i]
-        sb = sizes[cur_j]
-        gap = np.maximum(0, np.maximum(lo_a - (lo_b + sb[:, None]), lo_b - (lo_a + sa[:, None])))
-        dist2 = (gap * gap).sum(axis=1).astype(np.float64)
-        diam2 = 3.0 * np.maximum(sa, sb).astype(np.float64) ** 2
-        adm = diam2 <= eta2 * dist2
+        adm = _admissible(anchors[cur_i], sizes[cur_i], anchors[cur_j], sizes[cur_j], eta)
         leaf_pair = tree.is_leaf[cur_i] & tree.is_leaf[cur_j]
         lr_i.append(cur_i[adm])
         lr_j.append(cur_j[adm])
@@ -278,33 +297,56 @@ class H2Matrix:
         }
 
 
-def _far_partners(tree: Octree, blocks: BlockTree):
-    """Per node: low-rank partner lists of the node itself and ancestors.
+def _far_boxes(tree: Octree, blocks: BlockTree, radius=math.inf, eta=DEFAULT_ETA):
+    """Per node: the low-rank partners of the node and of its ancestors.
 
-    The union of the partner column ranges is exactly the node's
-    far-field column set, partitioned by block.
+    With a finite ``radius`` (in node half-widths) only the boxes that
+    come closer than that to the node's centre are kept.  The partners of
+    the ancestor k levels up lie at least sqrt(3) * 2^k / eta node widths
+    away, so ancestors past the radius are skipped.  Returns
+    ``(ptr, boxes)``: node n's boxes are ``boxes[ptr[n]:ptr[n + 1]]``, in
+    increasing id order.
     """
-    own = [[] for _ in range(tree.n_nodes)]
-    for i, j in zip(blocks.lr_row, blocks.lr_col):
-        own[int(i)].append(int(j))
-    full = [None] * tree.n_nodes
-    for node in range(tree.n_nodes):
-        parent = tree.parents[node]
-        inherited = full[parent] if parent >= 0 else []
-        full[node] = inherited + own[node]
-    return full
+    anchors, sizes = _node_boxes(tree)
+    own = np.searchsorted(blocks.lr_row, np.arange(tree.n_nodes + 1))
+    nodes = anc = np.arange(tree.n_nodes)
+    found_i, found_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    k = 0
+    while len(nodes) and math.sqrt(3.0) * 2**k / eta < radius / 2:
+        deg = own[anc + 1] - own[anc]
+        has = deg > 0
+        i = np.repeat(nodes[has], deg[has])
+        j = blocks.lr_col[_ranges_concat(own[anc[has]], deg[has])]
+        if radius < math.inf:
+            centre = anchors[i] + sizes[i, None] / 2
+            gap2 = _box_gap2(centre, np.zeros_like(sizes[i]), anchors[j], sizes[j])
+            near = gap2 < (radius * sizes[i] / 2) ** 2
+            i, j = i[near], j[near]
+        found_i.append(i)
+        found_j.append(j)
+        up = tree.parents[anc] >= 0
+        nodes, anc = nodes[up], tree.parents[anc[up]]
+        k += 1
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    order = np.lexsort((j, i))
+    return np.searchsorted(i[order], np.arange(tree.n_nodes + 1)), j[order]
 
 
-def _kernel_rows(kernel, row_points, col_points, u=None):
-    """kernel(rows, cols), or u.T @ it, with the columns chunked to bound transients."""
+def _far_partners(tree: Octree, blocks: BlockTree):
+    """Per node: its whole far field as a list of partner boxes."""
+    ptr, boxes = _far_boxes(tree, blocks)
+    return [boxes[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def _kernel_rows(kernel, row_points, col_points):
+    """kernel(rows, cols), the columns chunked to bound the transients."""
     n, m = len(row_points), len(col_points)
     step = max(1, _CHUNK_ELEMENTS // max(n, 1))
-    if u is None and m <= step:
+    if m <= step:
         return kernel_block(kernel, row_points, col_points)
-    out = np.empty((n if u is None else u.shape[1], m))
+    out = np.empty((n, m))
     for s in range(0, m, step):
-        blk = kernel_block(kernel, row_points, col_points[s : s + step])
-        out[:, s : s + step] = blk if u is None else u.T @ blk
+        out[:, s : s + step] = kernel_block(kernel, row_points, col_points[s : s + step])
     return out
 
 
@@ -329,10 +371,12 @@ def _truncate(scaled, eps, max_rank, bounds):
     The rank is the smallest r whose projection leaves every unit-norm
     sub-block (delimited by ``bounds``) with relative Frobenius residual
     at most eps, which is exactly the per-block compression contract.
+    Returns the r basis vectors, the row's coordinates in them
+    (``u_r^T scaled``) and the largest block tail left.
     """
     u, _ = _left_singular(scaled)
-    w2 = (u.T @ scaled) ** 2  # (k_full, m) spectral energy per column
-    blk = np.add.reduceat(w2, bounds[:-1], axis=1)  # (k_full, n_blocks)
+    proj = u.T @ scaled
+    blk = np.add.reduceat(proj * proj, bounds[:-1], axis=1)  # (k_full, n_blocks) energy
     total = blk.sum(axis=0)
     total[total == 0.0] = 1.0
     resid = total[None, :] - np.cumsum(blk, axis=0)
@@ -342,40 +386,122 @@ def _truncate(scaled, eps, max_rank, bounds):
     if max_rank is not None:
         r = min(r, max_rank)
     tail = math.sqrt(float((resid[r - 1] / total).max())) if r >= 1 else 1.0
-    return u[:, :r], r, tail
+    return u[:, :r], proj[:r], tail
 
 
-def _build_basis(tree: Octree, kernel, eps, max_rank, partners):
-    """Bottom-up nested basis: ranks, tails, per-node matrices, explicit bases."""
+def _sphere_by_octant(n):
+    """n nearly uniform unit-sphere points (a Fibonacci lattice) ordered
+    by octant, and where each octant starts."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    points = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    octant = ((points > 0.0) * np.array([1, 2, 4])).sum(axis=1)
+    order = np.argsort(octant, kind="stable")
+    return points[order], np.searchsorted(octant[order], np.arange(8))
+
+
+PROXY_RADIUS = 5.0  # node half-widths; far boxes nearer than this stay explicit
+PROXY_SHELLS = (1.0, 1.4, 2.0, 3.0, 5.0)  # proxy shell radii, in units of PROXY_RADIUS
+PROXY_KINDS = ("laplace3d", "one")  # kernels whose far field the proxies stand for
+_PROXY_SPHERE, _PROXY_OCTANTS = _sphere_by_octant(64)
+
+
+def _proxies(anchor, size, radius):
+    """Proxy points of a node inside the root box, and the count per group.
+
+    A group is one octant of one shell, so a far field that lies in a few
+    directions is still held to eps.
+    """
+    if radius == math.inf:
+        return np.empty((0, 3)), np.zeros(0, dtype=np.int64)
+    centre = (anchor + size / 2) / 2.0**MAX_LEVEL
+    scale = np.array(PROXY_SHELLS)[:, None, None] * (radius * size / 2 / 2.0**MAX_LEVEL)
+    pts = centre + scale * _PROXY_SPHERE
+    inside = ((pts >= 0.0) & (pts <= 1.0)).all(axis=2)
+    return pts[inside], np.add.reduceat(inside, _PROXY_OCTANTS, axis=1).ravel()
+
+
+def _pivoted_rows(b, k):
+    """k rows of b picked greedily by Gram-Schmidt with row pivoting."""
+    if k >= len(b):
+        return np.arange(len(b))
+    b = b.copy()
+    norms = (b * b).sum(axis=1)
+    picked = []
+    for _ in range(k):
+        p = int(np.argmax(norms))
+        picked.append(p)
+        if norms[p] > 0.0:
+            q = b[p] / math.sqrt(norms[p])
+            b -= np.outer(b @ q, q)
+            norms = (b * b).sum(axis=1)
+        norms[picked] = -1.0
+    return np.array(picked, dtype=np.int64)
+
+
+def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree, eta):
+    """Bottom-up nested basis over skeleton points.
+
+    A node's rows are its particles (a leaf) or its children's skeleton
+    points; its columns are a fixed surrogate of its far field.  Returns
+    ranks, tails, per-node basis or transfer matrices, and per node the
+    skeleton points s and the map G with U^T K(node, far) ~ G K(s, far).
+    """
+    radius = PROXY_RADIUS if kernel.kind in PROXY_KINDS else math.inf
+    ptr, boxes = _far_boxes(tree, blocks, radius, eta)
+    has_far = np.zeros(tree.n_nodes, dtype=bool)
+    has_far[blocks.lr_row] = True
+    for level in range(1, tree.depth + 1):
+        nodes = tree.level_nodes(level)
+        has_far[nodes] |= has_far[tree.parents[nodes]]
+    anchors, sizes = _node_boxes(tree)
     n_nodes = tree.n_nodes
     ranks = np.zeros(n_nodes, dtype=np.int32)
     tails = np.zeros(n_nodes, dtype=np.float64)
-    mats, explicit = [None] * n_nodes, {}
-    pos = tree.particles.positions
-    depth = len(tree.level_ptr) - 2
-    for level in range(depth, -1, -1):
+    mats, skel, gmat = [None] * n_nodes, [None] * n_nodes, [None] * n_nodes
+    pos, starts, counts = tree.particles.positions, tree.starts, tree.counts
+    for level in range(tree.depth, -1, -1):
         for node in map(int, tree.level_nodes(level)):
-            plist = partners[node]
-            kids = [int(c) for c in tree.children(node)] or [node]  # a leaf stands for itself
-            if not plist:
-                rows = tree.counts[node] if tree.is_leaf[node] else ranks[kids].sum()
-                mats[node] = np.zeros((int(rows), 0))
+            kids = tree.children(node).tolist()
+            if tree.is_leaf[node]:
+                rows = pos[starts[node] : starts[node] + counts[node]]
             else:
-                widths = tree.counts[plist]
-                bounds = np.concatenate([[0], np.cumsum(widths)])
-                far_pts = pos[_ranges_concat(tree.starts[plist], widths)]
-                R = np.vstack([
-                    _kernel_rows(kernel, pos[tree.starts[c] : tree.starts[c] + tree.counts[c]],
-                                 far_pts, None if c == node else explicit[c])
-                    for c in kids
-                ])
-                col2 = (R * R).sum(axis=0)
-                norms = np.sqrt(np.add.reduceat(col2, bounds[:-1]))
-                norms[norms == 0.0] = 1.0
-                R *= np.repeat(1.0 / norms, widths)[None, :]
-                mats[node], ranks[node], tails[node] = _truncate(R, eps, max_rank, bounds)
-            explicit[node] = _expand(tree, node, mats[node], explicit)
-    return ranks, tails, mats, explicit
+                rows = np.concatenate([skel[c] for c in kids])
+            if not has_far[node]:
+                mats[node] = np.zeros((int(ranks[kids].sum()) if kids else len(rows), 0))
+                skel[node], gmat[node] = rows[:0], np.zeros((0, 0))
+                continue
+            far = boxes[ptr[node] : ptr[node + 1]]
+            proxies, groups = _proxies(anchors[node], sizes[node], radius)
+            widths = np.concatenate([counts[far], groups[groups > 0]])
+            cols = pos[_ranges_concat(starts[far], counts[far])]
+            if len(proxies):
+                cols = np.concatenate([cols, proxies])
+            # a = K(rows, surrogate); r = a reduced by the children's G
+            a = _kernel_rows(kernel, rows, cols)
+            r = a
+            if kids:
+                cut = np.cumsum([0] + [len(skel[c]) for c in kids])
+                r = np.vstack([gmat[c] @ a[lo:hi] for c, lo, hi in zip(kids, cut, cut[1:])])
+            bounds = np.concatenate([[0], np.cumsum(widths)])
+            norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", r, r), bounds[:-1]))
+            norms[norms == 0.0] = 1.0
+            scale = np.repeat(1.0 / norms, widths)
+            r *= scale
+            mats[node], proj, tails[node] = _truncate(r, eps, max_rank, bounds)
+            ranks[node] = rank = mats[node].shape[1]
+            # proj = sigma_r V_r^T, V_r the leading right singular vectors of r.
+            # Skeletons: rank + 2 rows of a V_r (U_r sigma_r at a leaf, where a
+            # is r); G solves G (a V_r / sigma_r)[skeletons] = I.
+            sigma = np.sqrt(np.einsum("ij,ij->i", proj, proj))
+            sigma[sigma == 0.0] = 1.0
+            av = a @ (proj * scale).T / sigma if kids else mats[node] * sigma
+            pick = _pivoted_rows(av, rank + 2)
+            skel[node] = rows[pick]
+            gmat[node] = np.linalg.pinv(av[pick] / sigma)
+    return ranks, tails, mats, skel, gmat
 
 
 def _storage(tree: Octree, blocks: BlockTree, ranks):
@@ -399,8 +525,8 @@ def _storage(tree: Octree, blocks: BlockTree, ranks):
     return [Packed.allocate(ids, k.astype(np.int64)) + (ids,) for ids, k in zip(items, keys)]
 
 
-def _fill(packed, offsets, ids, kernel, tree: Octree, basis=None):
-    """Write the block K(i, j), or U_i^T K(i, j) U_j given explicit bases, of each (i, j).
+def _fill(packed, offsets, ids, kernel, tree: Octree):
+    """Write the block K(i, j) of each (i, j).
 
     Blocks are computed per row node, so one kernel slice serves the row.
     """
@@ -410,11 +536,37 @@ def _fill(packed, offsets, ids, kernel, tree: Octree, basis=None):
         i, js = int(ids[lo, 0]), ids[lo:hi, 1]
         rows = pos[starts[i] : starts[i] + counts[i]]
         cols = pos[_ranges_concat(starts[js], counts[js])]
-        w = _kernel_rows(kernel, rows, cols, None if basis is None else basis[i])
+        w = _kernel_rows(kernel, rows, cols)
         seg = np.concatenate([[0], np.cumsum(counts[js])])
-        for t, j, a, b in zip(range(lo, hi), js.tolist(), seg, seg[1:]):
-            blk = w[:, a:b] if basis is None else w[:, a:b] @ basis[j]
+        for t, a, b in zip(range(lo, hi), seg, seg[1:]):
+            blk = w[:, a:b]
             packed.data[offsets[t] : offsets[t] + blk.size] = blk.ravel()
+
+
+def _fill_coupling(packed, kernel, skel, gmat, ranks):
+    """Write S_ij = G_i K(s_i, s_j) G_j^T of each stored pair.
+
+    Each node's skeletons are padded to rank + 2 points, the padding
+    weighted by zero columns of G, and stacked with those of the nodes of
+    equal rank, so a chunk of a shape group is one batched kernel call.
+    """
+    slot = np.zeros(len(ranks), dtype=np.int64)
+    pts, gs = {}, {}
+    for r in sorted(set(ranks.tolist()) - {0}):
+        nodes = np.flatnonzero(ranks == r)
+        slot[nodes] = np.arange(len(nodes))
+        pts[r], gs[r] = np.empty((len(nodes), r + 2, 3)), np.zeros((len(nodes), r, r + 2))
+        for t, n in enumerate(nodes.tolist()):
+            w = len(skel[n])
+            pts[r][t, :w], pts[r][t, w:] = skel[n], skel[n][0]
+            gs[r][t, :, :w] = gmat[n]
+    for ij, out in packed.groups():
+        ri, rj = out.shape[1:]
+        step = max(1, _CHUNK_ELEMENTS // ((ri + 2) * (rj + 2)))
+        for lo in range(0, len(ij), step):
+            i, j = slot[ij[lo : lo + step, 0]], slot[ij[lo : lo + step, 1]]
+            k = kernel_block(kernel, pts[ri][i], pts[rj][j])
+            out[lo : lo + step] = np.matmul(np.matmul(gs[ri][i], k), gs[rj][j].transpose(0, 2, 1))
 
 
 def compress(
@@ -441,32 +593,39 @@ def compress(
     eps : float
         Relative Frobenius tolerance per admissible block, in (0, 1).
     max_rank : int or None
-        Cap on per-node rank; nodes that hit the cap with a residual
-        tail above eps are reported in the build summary.
+        Cap on per-node rank, at least 1; nodes that hit the cap with a
+        residual tail above eps are reported in the build summary.
     eta : float
-        Admissibility parameter.
+        Admissibility parameter, finite and above 0.
 
     Returns
     -------
     H2Matrix
+
+    Raises
+    ------
+    ConfigurationError
+        For an eps, max_rank or eta out of range, or a singular kernel
+        without regularization.
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+        raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
     if max_rank is not None and max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+        raise ConfigurationError(f"max_rank must be >= 1, got {max_rank}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ConfigurationError(f"eta must be finite and > 0, got {eta}")
     if kernel.kind in ("laplace3d", "laplace2d") and kernel.regularization == 0.0:
         raise ConfigurationError(
             f"{kernel.kind} with regularization 0 is infinite on the diagonal; "
             "give a delta > 0"
         )
     blocks = build_block_tree(tree, eta)
-    partners = _far_partners(tree, blocks)
-    ranks, tails, mats, explicit = _build_basis(tree, kernel, eps, max_rank, partners)
+    ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, max_rank, blocks, eta)
     storage = _storage(tree, blocks, ranks)
-    (basis, boff, _), (pairs, poff, pair_ids), (dense, doff, dense_ids) = storage
+    (basis, boff, _), (pairs, _, _), (dense, doff, dense_ids) = storage
     for node, mat in enumerate(mats):
         basis.data[boff[node] : boff[node] + mat.size] = mat.ravel()
-    _fill(pairs, poff, pair_ids, kernel, tree, explicit)
+    _fill_coupling(pairs, kernel, skel, gmat, ranks)
     _fill(dense, doff, dense_ids, kernel, tree)
     blocks.coupling, blocks.dense = pairs, dense
     return H2Matrix(
@@ -475,7 +634,7 @@ def compress(
         eps=eps,
         eta=eta,
         max_rank=max_rank,
-        row_basis=BasisTree(ranks=ranks, tails=tails, mats=basis, _explicit=explicit),
+        row_basis=BasisTree(ranks=ranks, tails=tails, mats=basis),
         blocks=blocks,
     )
 

@@ -45,20 +45,21 @@ def kernel_block(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     Parameters
     ----------
     spec : KernelSpec
-    points_a : (na, 3) array
-    points_b : (nb, 3) array
+    points_a : (..., na, 3) array
+    points_b : (..., nb, 3) array
+        Leading dimensions, if any, are a batch of point-set pairs.
 
     Returns
     -------
-    (na, nb) float64 matrix of kernel values.
+    (..., na, nb) float64 array of kernel values.
     """
     a = np.asarray(points_a, dtype=np.float64)
     b = np.asarray(points_b, dtype=np.float64)
     if spec.kind == "one":
-        return np.ones((len(a), len(b)))
-    aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1)
-    r2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+        return np.ones(a.shape[:-1] + b.shape[-2:-1])
+    aa = (a * a).sum(axis=-1)
+    bb = (b * b).sum(axis=-1)
+    r2 = aa[..., :, None] + bb[..., None, :] - 2.0 * (a @ np.swapaxes(b, -1, -2))
     np.maximum(r2, 0.0, out=r2)
     r2 += spec.regularization**2
     if spec.kind == "gaussian":

@@ -198,6 +198,28 @@ def test_compress_singular_kernel_without_delta_rejected(tmp_path, capsys, kerne
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--eps", "0"], ["--eps", "-1"], ["--max-rank", "0"], ["--eta", "0"], ["--eta", "-1"]],
+)
+def test_compress_out_of_range_parameters_rejected(tmp_path, capsys, flags):
+    out = tmp_path / "m.h2"
+    rc = run(["compress", "--n", "300", "--kernel", "gaussian", "--out", str(out)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_commsim_zero_leaf_capacity_rejected(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    rc = run(["commsim", "--P", "8", "--n-per-p", "64", "--leaf-capacity", "0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_matvec_non_finite_vector_rejected(compressed, tmp_path, capsys, bad):
     container, summary = compressed

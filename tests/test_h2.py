@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from h2fmm import h2 as h2_module
+from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DistributionSpec, generate
 from h2fmm.h2 import (
+    _far_partners,
     admissible,
     build_block_tree,
     compress,
@@ -16,7 +19,7 @@ from h2fmm.h2 import (
 )
 from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block
 from h2fmm.morton import morton_encode
-from h2fmm.tree import build_tree
+from h2fmm.tree import _ranges_concat, balance_2to1, build_tree
 
 LAPLACE = KernelSpec("laplace3d", regularization=1e-2)
 
@@ -350,3 +353,97 @@ def test_compress_validation(tree512):
         compress(tree512, LAPLACE, eps=1.5)
     with pytest.raises(ValueError):
         compress(tree512, LAPLACE, eps=1e-4, max_rank=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(eps=0.0), dict(eps=-1.0), dict(eps=1.0), dict(max_rank=0),
+     dict(eta=0.0), dict(eta=-1.0), dict(eta=float("inf")), dict(eta=float("nan"))],
+)
+def test_compress_out_of_range_parameters_rejected(tree512, kwargs):
+    with pytest.raises(ConfigurationError):
+        compress(tree512, LAPLACE, **kwargs)
+
+
+CONTRACT_KERNELS = {
+    "laplace3d-1e-2": LAPLACE,
+    "laplace3d-1e-1": KernelSpec("laplace3d", regularization=1e-1),
+    "laplace2d-1e-2": KernelSpec("laplace2d", regularization=1e-2),
+    "gaussian-0.1": KernelSpec("gaussian", sigma=0.1),
+    "gaussian-1": KernelSpec("gaussian", sigma=1.0),
+    "one": KernelSpec("one"),
+}
+
+
+@pytest.fixture(scope="module")
+def tree2048():
+    return build_tree(generate(DistributionSpec("random-cube", 2048, seed=1)), 16)
+
+
+def assert_per_block_contract(t, kernel, eps):
+    """Against the exact kernel, whatever surrogate of the far field the
+    basis was built from: every block of a node's whole far field lies
+    within 3 eps of its basis, and every low-rank block is rebuilt within
+    10 eps."""
+    m = compress(t, kernel, eps=eps)
+    a = dense_matrix(t.particles, kernel)
+    nest = 0.0
+    for node, partners in enumerate(_far_partners(t, m.blocks)):
+        if not partners:
+            continue
+        u = m.row_basis.explicit_basis(t, node)
+        s0, c0 = int(t.starts[node]), int(t.counts[node])
+        r = a[s0 : s0 + c0][:, _ranges_concat(t.starts[partners], t.counts[partners])]
+        resid = r - u @ (u.T @ r)
+        bounds = np.concatenate([[0], np.cumsum(t.counts[partners])])
+        for lo, hi in zip(bounds, bounds[1:]):
+            nest = max(nest, np.linalg.norm(resid[:, lo:hi]) / np.linalg.norm(r[:, lo:hi]))
+    assert nest <= 3 * eps
+    worst = 0.0
+    for i, j, s in lowrank_blocks(m):
+        ui = m.row_basis.explicit_basis(t, i)
+        uj = m.row_basis.explicit_basis(t, j)
+        blk = a[t.starts[i] : t.starts[i] + t.counts[i], t.starts[j] : t.starts[j] + t.counts[j]]
+        worst = max(worst, np.linalg.norm(ui @ s @ uj.T - blk) / np.linalg.norm(blk))
+    assert worst <= 10 * eps
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6])
+@pytest.mark.parametrize("name", list(CONTRACT_KERNELS))
+def test_per_block_contract_every_kernel(tree2048, name, eps):
+    assert_per_block_contract(tree2048, CONTRACT_KERNELS[name], eps)
+
+
+def test_per_block_contract_clustered():
+    # Deep plummer cells are small against delta = 0.1, where the
+    # regularized kernel is far from harmonic and proxies fit worst.
+    t = balance_2to1(build_tree(generate(DistributionSpec("plummer", 4096, seed=1)), 16))
+    assert_per_block_contract(t, KernelSpec("laplace3d", regularization=1e-1), 1e-6)
+
+
+def test_compress_kernel_evaluation_budget(monkeypatch):
+    # Every kernel evaluation of compress, the coupling fill included,
+    # goes through h2.kernel_block; count its output entries.
+    evals = [0]
+
+    def counting(spec, a, b):
+        out = kernel_block(spec, a, b)
+        evals[0] += out.size
+        return out
+
+    monkeypatch.setattr(h2_module, "kernel_block", counting)
+    per_particle = {}
+    for n in (2048, 8192):
+        t = balance_2to1(build_tree(generate(DistributionSpec("sphere-surface", n, seed=1)), 16))
+        evals[0] = 0
+        compress(t, LAPLACE, eps=1e-4)
+        per_particle[n] = evals[0] / n
+    assert per_particle[8192] < 5000
+    assert per_particle[8192] < 3 * per_particle[2048]
+
+
+def test_compress_bitwise_deterministic(tree512):
+    a, b = compress(tree512, LAPLACE, eps=1e-4), compress(tree512, LAPLACE, eps=1e-4)
+    assert np.array_equal(a.row_basis.mats.data, b.row_basis.mats.data)
+    assert np.array_equal(a.blocks.coupling.data, b.blocks.coupling.data)
+    assert np.array_equal(a.blocks.dense.data, b.blocks.dense.data)

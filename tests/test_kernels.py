@@ -46,6 +46,17 @@ def test_gaussian_symmetric_to_machine_precision():
     assert a[3, 3] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kind", ["laplace3d", "laplace2d", "gaussian", "one"])
+def test_batched_blocks_match_one_by_one(kind):
+    spec = KernelSpec(kind, regularization=1e-2, sigma=0.5)
+    rng = np.random.default_rng(3)
+    a, b = rng.random((4, 5, 3)), rng.random((4, 7, 3))
+    batched = kernel_block(spec, a, b)
+    assert batched.shape == (4, 5, 7)
+    for t in range(4):
+        np.testing.assert_allclose(batched[t], kernel_block(spec, a[t], b[t]), rtol=1e-13)
+
+
 def test_oracle_guard(monkeypatch):
     monkeypatch.setenv("H2FMM_ORACLE_MAX", "100")
     assert oracle_limit() == 100
