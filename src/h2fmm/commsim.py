@@ -14,7 +14,6 @@ Counts are in cell units: one cell is one multipole/basis payload.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,10 +21,12 @@ import numpy as np
 
 from .errors import ConfigurationError, PartitionError
 from .geometry import DistributionSpec, generate
-from .morton import decode_cells, encode_cells
+from .morton import decode_cells, encode_cells  # encode_cells: kept for the benchmark tracer
 from .tree import (
     _OFFSETS,
+    CellLocator,
     Octree,
+    _level_pairs,
     _ranges_concat,
     balance_2to1,
     build_tree,
@@ -35,9 +36,6 @@ from .tree import (
 
 PHASES = ("global-m2m", "global-m2l", "local-m2l", "local-p2p")
 MODES = ("periodic", "truncated")
-
-_U = np.uint64
-
 
 # ---------------------------------------------------------------------------
 # Partition and global/local split
@@ -109,6 +107,7 @@ class GlobalLocalSplit:
     L_global: int
     sim_depth: int
     local_roots: list  # per process, node ids in Morton order
+    locator: CellLocator  # the tree's cell locator, shared by the phases of one run
 
     @property
     def global_nodes(self) -> np.ndarray:
@@ -158,6 +157,7 @@ def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
         L_global=L_global,
         sim_depth=sim_depth,
         local_roots=local_roots,
+        locator=CellLocator(tree),
     )
 
 
@@ -414,40 +414,6 @@ def uniform_phase_level_counts(P: int, n_per_p: int, leaf_capacity: int = 1):
 # General (tree) engine
 
 
-def _level_pairs(tree: Octree, level: int, radius: int, sources=None):
-    """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius``.
-
-    ``sources``, a boolean mask over all nodes, limits ``src`` to the
-    masked nodes; they alone are decoded and looked up.
-    """
-    lo, hi = int(tree.level_ptr[level]), int(tree.level_ptr[level + 1])
-    keys = tree.keys[lo:hi]
-    sel = np.arange(hi - lo) if sources is None else np.flatnonzero(sources[lo:hi])
-    if not len(sel):
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    coords = decode_cells(keys[sel], level)
-    side = 1 << level
-    shifts = range(-radius, radius + 1)
-    # inside[axis][d]: the coordinate moved by d along axis stays on the grid.
-    inside = [{d: (c + d >= 0) & (c + d < side) for d in shifts} for c in coords.T]
-    padded = np.append(keys, _U(np.iinfo(np.uint64).max))  # never a level key
-    srcs, dsts = [], []
-    for off in itertools.product(shifts, repeat=3):
-        if not any(off):
-            continue
-        src = np.flatnonzero(inside[0][off[0]] & inside[1][off[1]] & inside[2][off[2]])
-        if not len(src):
-            continue
-        nk = encode_cells((coords[src] + off).astype(np.uint64), level)
-        pos = np.searchsorted(keys, nk)
-        found = padded[pos] == nk
-        srcs.append(sel[src[found]] + lo)
-        dsts.append(pos[found] + lo)
-    if not srcs:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(srcs), np.concatenate(dsts)
-
-
 def _remote(split, procs, cells):
     """The (process, cell) needs whose process does not co-own the cell."""
     keep = (procs < split.owner_lo[cells]) | (procs > split.owner_hi[cells])
@@ -513,11 +479,10 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
 
 def sim_global_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """Interaction halos of global-tree cells, two cells wide per level."""
-    tree = split.tree
     sources = split.tags != TAG_LOCAL
     needs = []
     for level in range(1, split.sim_depth + 1):
-        src, dst = _level_pairs(tree, level, radius=2, sources=sources)
+        src, dst = _level_pairs(split.locator, level, radius=2, sources=sources)
         needs.append((level, *_remote(split, *_owner_needs(split, src, dst))))
     return _accumulate_phase(split, "global-m2l", needs)
 
@@ -534,7 +499,7 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
     sources = split.tags == TAG_LOCAL
     needs = []
     for level in range(1, tree.depth + 1):
-        src, dst = _level_pairs(tree, level, radius=2, sources=sources)
+        src, dst = _level_pairs(split.locator, level, radius=2, sources=sources)
         keep = split.tags[dst] != TAG_GLOBAL
         procs = split.owner_lo[src[keep]].astype(np.int64)
         needs.append((level, *_remote(split, procs, dst[keep])))
@@ -561,7 +526,7 @@ def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     P = split.partition.P
     needs = []
     for level in range(1, tree.depth + 1):
-        src, dst = _level_pairs(tree, level, radius=2)
+        src, dst = _level_pairs(split.locator, level, radius=2)
         needs.append(_remote(split, *_owner_needs(split, src, dst)))
     q, m = leaf_adjacency_pairs(tree)
     procs = split.partition.leaf_process[q].astype(np.int64)

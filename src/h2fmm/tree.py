@@ -6,6 +6,7 @@ never stored, so neighbor queries resolve against existing leaves only.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,8 +65,7 @@ class Octree:
 
     ``keys``/``levels``/``starts``/``counts`` describe every stored node,
     sorted by (level, key).  ``leaf_ids`` lists leaf node ids in spatial
-    (Morton) order; ``leaf_start21``/``leaf_end21`` give each leaf's
-    half-open range of level-21 key space.
+    (Morton) order; ``leaf_start21`` gives each leaf's first level-21 key.
     """
 
     particles: ParticleSet
@@ -84,7 +84,6 @@ class Octree:
     balanced: bool = False
     leaf_ids: np.ndarray = field(default=None)
     leaf_start21: np.ndarray = field(default=None)
-    leaf_end21: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.leaf_ids is None:
@@ -93,8 +92,6 @@ class Octree:
             order = np.argsort(start21, kind="stable")
             self.leaf_ids = ids[order]
             self.leaf_start21 = start21[order]
-            size = _U(1) << (_U(3) * (_U(MAX_LEVEL) - self.levels[self.leaf_ids].astype(np.uint64)))
-            self.leaf_end21 = self.leaf_start21 + size
 
     @property
     def n_particles(self) -> int:
@@ -394,6 +391,83 @@ def balance_2to1(tree: Octree) -> Octree:
     )
 
 
+# Cell cap of the locator's deepest dense table: 2^21 int32 cells, 8 MiB.
+_LOCATOR_CELLS = 1 << 21
+
+
+class CellLocator:
+    """Pointer-free cell lookup for one tree (Sundar, Sampath and Biros, 2008).
+
+    ``locate(level, (x, y, z))`` gives per cell the node stored there,
+    else the leaf covering it, else -1 (empty).  Levels 0..``top`` keep a
+    dense int32 table [x, y, z] each: the one above repeated twice per
+    axis with internal nodes blanked, then the level's nodes scattered.
+    Deeper cells descend from their level-``top`` ancestor through the
+    ``(n_nodes + 1, 2, 2, 2)`` child table, one gather per level.  Tables
+    end in two -1 slabs per axis, so cells up to two off the grid read -1.
+    ``top`` is the deepest level with at most 2^21 cells and 64 per node.
+    Nothing is cached on the tree: callers build one per use.
+    """
+
+    def __init__(self, tree: Octree):
+        self.tree = tree
+        n = tree.n_nodes
+        # Row n, also reached as -1, is the empty cell; a leaf's children are itself.
+        child = np.full((n + 1, 8), -1, dtype=np.int32)
+        child[:n][tree.is_leaf] = np.flatnonzero(tree.is_leaf)[:, None]
+        kids = np.flatnonzero(tree.parents >= 0)
+        child[tree.parents[kids], tree.keys[kids] & _U(7)] = kids
+        self.child = child.reshape(n + 1, 2, 2, 2)
+        self.levels = np.append(tree.levels, np.int8(-1))  # levels[-1]: the empty cell
+        self.top = min(tree.depth, (min(_LOCATOR_CELLS, 64 * n).bit_length() - 1) // 3)
+        inherits = np.append(tree.is_leaf, True)  # a leaf covers its cell's children
+        self.tables = [np.pad(np.zeros((1, 1, 1), np.int32), (0, 2), constant_values=-1)]
+        for level in range(1, self.top + 1):
+            s = 1 << (level - 1)
+            above = self.tables[-1][:s, :s, :s]
+            table = np.full((s + 1, 2) * 3, -1, dtype=np.int32)
+            table[:s, :, :s, :, :s] = np.where(inherits[above], above, -1)[:, None, :, None, :, None]
+            table = table.reshape((2 * s + 2,) * 3)
+            ids = tree.level_nodes(level)
+            table[tuple(decode_cells(tree.keys[ids], level).T)] = ids
+            self.tables.append(table)
+
+    def locate(self, level: int, coords):
+        """Node ids of the cells ``coords = (x, y, z)`` (int arrays) at ``level``."""
+        x, y, z = coords
+        k = max(level - self.top, 0)
+        if not k:
+            return self.tables[level][x, y, z]
+        node = self.tables[self.top][x >> k, y >> k, z >> k]
+        for shift in range(k - 1, -1, -1):
+            node = self.child[node, (x >> shift) & 1, (y >> shift) & 1, (z >> shift) & 1]
+        return node
+
+
+def _level_pairs(loc: CellLocator, level: int, radius: int, sources=None):
+    """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius`` <= 2.
+
+    ``sources``, a boolean mask over all nodes, limits ``src`` to the
+    masked nodes; they alone are decoded and looked up.
+    """
+    tree = loc.tree
+    lo, hi = int(tree.level_ptr[level]), int(tree.level_ptr[level + 1])
+    ids = lo + (np.arange(hi - lo) if sources is None else np.flatnonzero(sources[lo:hi]))
+    if not len(ids):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    shifts = range(-radius, radius + 1)
+    # moved[axis][d]: the coordinate moved by d; off-grid cells read -1.
+    moved = [{d: c + d for d in shifts} for c in decode_cells(tree.keys[ids], level).T]
+    srcs, dsts = [], []
+    for off in itertools.product(shifts, repeat=3):
+        if any(off):
+            dst = loc.locate(level, [ax[d] for ax, d in zip(moved, off)])
+            found = loc.levels[dst] == level
+            srcs.append(ids[found])
+            dsts.append(dst[found])
+    return np.concatenate(srcs), np.concatenate(dsts).astype(np.int64)
+
+
 def leaf_adjacency_pairs(tree: Octree, query=None):
     """All ordered pairs (q, m) of leaf-table positions with touching boxes.
 
@@ -401,57 +475,41 @@ def leaf_adjacency_pairs(tree: Octree, query=None):
     positions; by default every leaf is a query.  Box contact counts
     faces, edges and corners.
     """
-    start21 = tree.leaf_start21
-    end21 = tree.leaf_end21
-    levels = tree.levels[tree.leaf_ids]
-    n_leaves = len(start21)
+    n_leaves = tree.n_leaves
     if query is None:
         query = np.arange(n_leaves, dtype=np.int64)
     else:
         query = sorted_unique(np.asarray(query, dtype=np.int64))
-    coords21 = _leaf_anchor_coords(start21[query])
-    qlev = levels[query].astype(np.int64)
-    qsize = np.int64(1) << (MAX_LEVEL - qlev)
-    pair_q, pair_m = [], []
-    all_coords = None
-    for offset in _OFFSETS:
-        targets, valid = _neighbor_cell_starts(coords21, levels[query], offset)
-        cell_end = targets + (_U(1) << (_U(3) * (_U(MAX_LEVEL) - levels[query].astype(np.uint64))))
-        # Coarser-or-equal leaves covering the whole neighbor cell.
-        pos = np.searchsorted(start21, targets, side="right") - 1
-        ok = valid & (pos >= 0)
-        p = np.where(ok, pos, 0)
-        covered = ok & (end21[p] > targets) & (levels[p] <= levels[query])
-        pair_q.append(query[covered])
-        pair_m.append(p[covered])
-        # Deeper leaves contained in the neighbor cell, filtered by contact.
-        lo = np.searchsorted(start21, targets, side="left")
-        hi = np.searchsorted(start21, cell_end, side="left")
-        lo = np.where(valid, lo, 0)
-        hi = np.where(valid, hi, 0)
-        span = hi - lo
-        if span.sum() == 0:
-            continue
-        src = np.flatnonzero(span > 0)
-        cand = _ranges_concat(lo[src], span[src])
-        qrep = np.repeat(query[src], span[src])
-        if all_coords is None:
-            all_coords = _leaf_anchor_coords(start21)
-        clev = levels[cand].astype(np.int64)
-        csize = np.int64(1) << (MAX_LEVEL - clev)
-        qpos = np.searchsorted(query, qrep)  # query is sorted by construction
-        qlo = coords21[qpos]
-        qhi = qlo + qsize[qpos, None]
-        clo = all_coords[cand]
-        chi = clo + csize[:, None]
-        touch = ((clo <= qhi) & (qlo <= chi)).all(axis=1)
-        pair_q.append(qrep[touch])
-        pair_m.append(cand[touch])
-    q = np.concatenate(pair_q) if pair_q else np.empty(0, np.int64)
-    m = np.concatenate(pair_m) if pair_m else np.empty(0, np.int64)
-    keep = q != m
-    q, m = q[keep], m[keep]
-    packed = sorted_unique(q * np.int64(n_leaves) + m)
+    loc = CellLocator(tree)
+    levels = tree.levels[tree.leaf_ids].astype(np.int64)
+    anchor = _leaf_anchor_coords(tree.leaf_start21)
+    far = anchor + (np.int64(1) << (MAX_LEVEL - levels))[:, None]
+    leaf_pos = np.full(tree.n_nodes + 1, -1, dtype=np.int64)  # [-1]: the empty cell
+    leaf_pos[tree.leaf_ids] = np.arange(n_leaves)
+    # A node's leaves are one range of the Morton-ordered leaf table.
+    shift = _U(3) * (_U(MAX_LEVEL) - tree.levels.astype(np.uint64))
+    first = np.searchsorted(tree.leaf_start21, tree.keys << shift)
+    count = np.searchsorted(tree.leaf_start21, (tree.keys + _U(1)) << shift) - first
+    pair_q, pair_m = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for level in sorted_unique(levels[query]).tolist():
+        qs = query[levels[query] == level]
+        moved = [{d: c + d for d in (-1, 0, 1)} for c in (anchor[qs] >> (MAX_LEVEL - level)).T]
+        for off in _OFFSETS.tolist():
+            node = loc.locate(level, [ax[d] for ax, d in zip(moved, off)])
+            # A leaf at or above the neighbour cell touches the query box.
+            m = leaf_pos[node]
+            pair_q.append(qs[m >= 0])
+            pair_m.append(m[m >= 0])
+            # A node at the neighbour cell expands to its leaves, filtered by contact.
+            inner = (node >= 0) & (m < 0)
+            span = count[node[inner]]
+            cand = _ranges_concat(first[node[inner]], span)
+            qrep = np.repeat(qs[inner], span)
+            touch = ((anchor[cand] <= far[qrep]) & (anchor[qrep] <= far[cand])).all(axis=1)
+            pair_q.append(qrep[touch])
+            pair_m.append(cand[touch])
+    # A coarse leaf can cover several neighbour cells of one query.
+    packed = sorted_unique(np.concatenate(pair_q) * np.int64(n_leaves) + np.concatenate(pair_m))
     return packed // n_leaves, packed % n_leaves
 
 

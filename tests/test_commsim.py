@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from h2fmm.commsim import (
@@ -11,7 +11,6 @@ from h2fmm.commsim import (
     PHASES,
     TAG_GLOBAL,
     TAG_LOCAL_ROOT,
-    _level_pairs,
     fit_scaling,
     partition_sfc,
     run_comm_experiment,
@@ -30,7 +29,8 @@ from h2fmm.commsim import (
 from h2fmm.errors import ConfigurationError, PartitionError
 from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, ParticleSet, generate
 from h2fmm.morton import decode_cells
-from h2fmm.tree import balance_2to1, build_tree
+from h2fmm.tree import CellLocator, _level_pairs, balance_2to1, build_tree, leaf_adjacency_pairs
+from test_tree import brute_adjacent_pairs
 
 
 def lattice_tree(level, per_cell, leaf_capacity=16, seed=0):
@@ -304,13 +304,54 @@ def test_general_counts_pinned(kind):
             assert _count_digest(rep) == PINNED_COUNT_DIGESTS[(kind, P, model)], (P, model)
 
 
+def _int64_digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the int64 bytes of q then m from leaf_adjacency_pairs, recorded
+# on the searchsorted implementation the cell locator replaced.
+PINNED_ADJACENCY_DIGESTS = {
+    ("plummer", 16, True): "a7ee8627663a255629e15ac57d6105bd5490966cd020fcb465002ec084dd3b53",
+    ("plummer", 1, False): "59d2492aeb7e506375d36c54251804d059834d27afbe52a9d76bad0eea1d6a98",
+    ("sphere-surface", 16, True): "925948d2d76da83ace55908823ebd933e7388c73b6f3983f66a48e8b91d08b43",
+    ("sphere-surface", 1, False): "94cb4397cfe1b76e47d17200b6ea987eac787177b572170f9099d5adf2a7d3bd",
+}
+# Every src then every dst of _level_pairs(radius 2) over all levels of the
+# balanced plummer tree: pins the pair order as well as the pair set.
+PINNED_PAIR_ORDER_DIGEST = "652d583c20bab198a86bdcaec8cc26e9dbcaa19aefe88b2ff58af038dbb3bfb1"
+
+
+@pytest.mark.parametrize("kind", ["plummer", "sphere-surface"])
+def test_adjacency_pinned(kind):
+    ps = generate(DistributionSpec(kind, 16384, seed=0))
+    for leaf_capacity, balanced in ((16, True), (1, False)):
+        tree = build_tree(ps, leaf_capacity)
+        if balanced:
+            tree = balance_2to1(tree)
+        q, m = leaf_adjacency_pairs(tree)
+        assert _int64_digest(q, m) == PINNED_ADJACENCY_DIGESTS[(kind, leaf_capacity, balanced)]
+
+
+def test_level_pair_order_pinned():
+    tree = balance_2to1(build_tree(generate(DistributionSpec("plummer", 16384, seed=0)), 16))
+    loc = CellLocator(tree)
+    pairs = [_level_pairs(loc, level, 2) for level in range(tree.depth + 1)]
+    src, dst = (np.concatenate(a) for a in zip(*pairs))
+    assert _int64_digest(src, dst) == PINNED_PAIR_ORDER_DIGEST
+
+
 def _brute_level_pairs(tree, level, radius, sources=None):
     """O(n^2) all-pairs Chebyshev oracle for ``_level_pairs``."""
     ids = tree.level_nodes(level)
     coords = decode_cells(tree.keys[ids], level)
-    dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
-    i, j = np.nonzero((dist > 0) & (dist <= radius))
-    pairs = set(zip(ids[i].tolist(), ids[j].tolist()))
+    pairs = set()
+    for lo in range(0, len(ids), 256):  # row blocks bound the distance matrix's memory
+        dist = np.abs(coords[lo : lo + 256, None, :] - coords[None, :, :]).max(axis=2)
+        i, j = np.nonzero((dist > 0) & (dist <= radius))
+        pairs |= set(zip(ids[lo + i].tolist(), ids[j].tolist()))
     if sources is not None:
         pairs = {(a, b) for a, b in pairs if sources[a]}
     return pairs
@@ -324,10 +365,46 @@ def test_level_pairs_match_bruteforce():
     for level in range(depth + 1):
         for radius in (1, 2):
             for mask in (None, sources, ~sources):
-                src, dst = _level_pairs(tree, level, radius, sources=mask)
+                src, dst = _level_pairs(CellLocator(tree), level, radius, sources=mask)
                 got = list(zip(src.tolist(), dst.tolist()))
                 assert len(got) == len(set(got))
                 assert set(got) == _brute_level_pairs(tree, level, radius, mask), (level, radius)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 32),
+    balanced=st.booleans(),
+    mask_seed=st.integers(0, 2**32 - 1),
+)
+# Leaf capacity 1 on a plummer cloud: deeper than the locator's tables.
+@example(kind="plummer", n=3000, seed=0, leaf_capacity=1, balanced=False, mask_seed=0)
+@example(kind="plummer", n=3000, seed=1, leaf_capacity=1, balanced=True, mask_seed=1)
+def test_locator_lookups_match_bruteforce(kind, n, seed, leaf_capacity, balanced, mask_seed):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    rng = np.random.default_rng(mask_seed)
+    sources = rng.random(tree.n_nodes) < 0.5
+    loc = CellLocator(tree)
+    if leaf_capacity == 1 and kind == "plummer" and n == 3000:
+        assert loc.top < tree.depth  # the child-table descent runs
+    for level in range(tree.depth + 1):
+        for radius in (1, 2):
+            src, dst = _level_pairs(loc, level, radius, sources=sources)
+            got = list(zip(src.tolist(), dst.tolist()))
+            assert len(got) == len(set(got))
+            assert set(got) == _brute_level_pairs(tree, level, radius, sources), (level, radius)
+    brute = brute_adjacent_pairs(tree)
+    q, m = leaf_adjacency_pairs(tree)
+    assert set(zip(q.tolist(), m.tolist())) == brute
+    query = np.flatnonzero(rng.random(tree.n_leaves) < 0.3)
+    q, m = leaf_adjacency_pairs(tree, query=query)
+    wanted = set(query.tolist())
+    assert set(zip(q.tolist(), m.tolist())) == {(a, b) for a, b in brute if a in wanted}
 
 
 def test_direct_let_p1_zero():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2fmm import h2 as h2_module
 from h2fmm.errors import ConfigurationError
-from h2fmm.geometry import DistributionSpec, generate
+from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, generate
 from h2fmm.h2 import (
     _far_partners,
     admissible,
@@ -169,6 +171,41 @@ def test_matvec_linearity(h2_512):
     lhs = matvec(h2_512, a * x + b * z)
     rhs = a * matvec(h2_512, x) + b * matvec(h2_512, z)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-12
+
+
+LINEARITY_KERNELS = (
+    LAPLACE,
+    KernelSpec("laplace2d", regularization=1e-2),
+    KernelSpec("gaussian", sigma=0.3),
+    KernelSpec("one"),
+)
+_COEFF = st.floats(-4.0, 4.0).filter(lambda v: abs(v) > 1e-3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 32),
+    balanced=st.booleans(),
+    kernel=st.sampled_from(LINEARITY_KERNELS),
+    eps=st.sampled_from([1e-3, 1e-6]),
+    a=_COEFF,
+    b=_COEFF,
+)
+def test_matvec_zero_and_linear_on_random_trees(kind, n, seed, leaf_capacity, balanced, kernel, eps, a, b):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    m = compress(tree, kernel, eps=eps)
+    assert np.array_equal(matvec(m, np.zeros(n)), np.zeros(n))
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    ax, ay = matvec(m, x), matvec(m, y)
+    err = np.linalg.norm(matvec(m, a * x + b * y) - (a * ax + b * ay))
+    # Relative to the sum of the two terms' norms, the scale of their rounding.
+    assert err <= 1e-12 * (abs(a) * np.linalg.norm(ax) + abs(b) * np.linalg.norm(ay))
 
 
 def test_matvec_dimension_error(h2_512):
