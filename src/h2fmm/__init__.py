@@ -20,12 +20,8 @@ from .geometry import (
 from .kernels import KernelSpec, dense_matrix, kernel_block, oracle_limit
 from .morton import (
     MAX_LEVEL,
-    MortonKey,
     decode_cells,
     encode_cells,
-    morton_decode,
-    morton_encode,
-    point_to_key,
     points_to_keys,
 )
 from .tree import (
@@ -36,12 +32,10 @@ from .tree import (
     depth_stats,
     leaf_adjacency_pairs,
     neighbor_counts,
-    neighbor_leaves,
 )
 from .h2 import (
     DEFAULT_ETA,
     H2Matrix,
-    admissible,
     build_block_tree,
     compress,
     coupling,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import KernelSpec, kernel_block
-from .morton import MAX_LEVEL, MortonKey, decode_cells
+from .morton import MAX_LEVEL, decode_cells
 from .tree import Octree, _ranges_concat
 
 DEFAULT_ETA = 1.75  # admits same-level cells separated by >= one cell width
@@ -67,24 +67,13 @@ def _box_gap2(lo_a, sa, lo_b, sb):
 
 
 def _admissible(lo_a, sa, lo_b, sb, eta):
-    """Row by row: max(diam)^2 <= eta^2 * dist^2 for the boxes lo + [0, s]^3."""
+    """Row by row: max(diam)^2 <= eta^2 * dist^2 for the boxes lo + [0, s]^3.
+
+    Boxes are closed, so touching cells are never admissible.  With the
+    default eta, same-level cells a full cell width apart are.
+    """
     diam2 = 3.0 * np.maximum(sa, sb).astype(np.float64) ** 2
     return diam2 <= eta * eta * _box_gap2(lo_a, sa, lo_b, sb)
-
-
-def admissible(row_cell: MortonKey, col_cell: MortonKey, eta: float = DEFAULT_ETA) -> bool:
-    """Geometric admissibility: max(diam) <= eta * dist(boxes).
-
-    Cell boxes are closed; touching cells have distance zero and are
-    never admissible.  With the default eta, same-level cells separated
-    by at least one full cell width (two cell widths center to center)
-    are admissible.
-    """
-    lo_a = np.array([row_cell.coords()], dtype=np.int64) << (MAX_LEVEL - row_cell.level)
-    lo_b = np.array([col_cell.coords()], dtype=np.int64) << (MAX_LEVEL - col_cell.level)
-    sa = np.array([1 << (MAX_LEVEL - row_cell.level)])
-    sb = np.array([1 << (MAX_LEVEL - col_cell.level)])
-    return bool(_admissible(lo_a, sa, lo_b, sb, eta)[0])
 
 
 @dataclass
@@ -108,18 +97,15 @@ class Packed:
 
         The last two columns of ``keys`` are each item's (rows, cols); any
         columns before them only order the groups.  Items keep their input
-        order within a group.  Returns the storage and each input item's
-        offset into ``data``.
+        order within a group.
         """
         perm = np.lexsort(keys.T[::-1])
         key = keys[perm]
         first = np.ones(len(perm), dtype=bool)
         first[1:] = (key[1:] != key[:-1]).any(axis=1)
-        sizes = key[:, -2] * key[:, -1]
-        offsets = np.empty(len(perm), dtype=np.int64)
-        offsets[perm] = np.cumsum(sizes) - sizes
+        size = int((key[:, -2] * key[:, -1]).sum())
         ptr = np.append(np.flatnonzero(first), len(perm))
-        return cls(ids[perm], ptr, key[first, -2:], np.empty(int(sizes.sum()))), offsets
+        return cls(ids[perm], ptr, key[first, -2:], np.empty(size))
 
     def groups(self):
         """(ids, matrices) per group, matrices being a (count, rows, cols) view."""
@@ -507,9 +493,8 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree, eta):
 def _storage(tree: Octree, blocks: BlockTree, ranks):
     """Empty packed basis, coupling and dense storage.
 
-    Returns ``(packed, offsets, items)`` for each: the items are the
-    nodes, grouped deepest level first; the low-rank pairs i < j; and the
-    dense pairs.  ``offsets`` locates each item in ``packed.data``.
+    Their items are the nodes, grouped deepest level first; the low-rank
+    pairs i < j; and the dense pairs.
     """
     off = np.concatenate([[0], np.cumsum(ranks, dtype=np.int64)])
     end = tree.child_start.astype(np.int64) + tree.child_count
@@ -522,25 +507,22 @@ def _storage(tree: Octree, blocks: BlockTree, ranks):
     )
     deepest_first = -tree.levels.astype(np.int64)
     keys = (np.stack([deepest_first, rows, ranks], axis=1), ranks[items[1]], tree.counts[items[2]])
-    return [Packed.allocate(ids, k.astype(np.int64)) + (ids,) for ids, k in zip(items, keys)]
+    return [Packed.allocate(ids, k.astype(np.int64)) for ids, k in zip(items, keys)]
 
 
-def _fill(packed, offsets, ids, kernel, tree: Octree):
-    """Write the block K(i, j) of each (i, j).
+def _fill_dense(packed, kernel, tree: Octree):
+    """Write the kernel block K(i, j) of each dense pair.
 
-    Blocks are computed per row node, so one kernel slice serves the row.
+    A chunk of a shape group is one batched kernel call over the pairs'
+    gathered leaf points.
     """
-    pos, starts, counts = tree.particles.positions, tree.starts, tree.counts
-    first = np.flatnonzero(np.diff(ids[:, 0], prepend=-1))  # ids are sorted by row
-    for lo, hi in zip(first.tolist(), first[1:].tolist() + [len(ids)]):
-        i, js = int(ids[lo, 0]), ids[lo:hi, 1]
-        rows = pos[starts[i] : starts[i] + counts[i]]
-        cols = pos[_ranges_concat(starts[js], counts[js])]
-        w = _kernel_rows(kernel, rows, cols)
-        seg = np.concatenate([[0], np.cumsum(counts[js])])
-        for t, a, b in zip(range(lo, hi), seg, seg[1:]):
-            blk = w[:, a:b]
-            packed.data[offsets[t] : offsets[t] + blk.size] = blk.ravel()
+    pos, starts = tree.particles.positions, tree.starts
+    for ij, out in packed.groups():
+        ni, nj = out.shape[1:]
+        step = max(1, _CHUNK_ELEMENTS // (ni * nj))
+        for lo in range(0, len(ij), step):
+            i, j = starts[ij[lo : lo + step, 0]], starts[ij[lo : lo + step, 1]]
+            out[lo : lo + step] = kernel_block(kernel, pos[_spans(i, ni)], pos[_spans(j, nj)])
 
 
 def _fill_coupling(packed, kernel, skel, gmat, ranks):
@@ -621,12 +603,11 @@ def compress(
         )
     blocks = build_block_tree(tree, eta)
     ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, max_rank, blocks, eta)
-    storage = _storage(tree, blocks, ranks)
-    (basis, boff, _), (pairs, _, _), (dense, doff, dense_ids) = storage
-    for node, mat in enumerate(mats):
-        basis.data[boff[node] : boff[node] + mat.size] = mat.ravel()
+    basis, pairs, dense = _storage(tree, blocks, ranks)
+    for nodes, out in basis.groups():
+        np.stack([mats[n] for n in nodes.tolist()], out=out)
     _fill_coupling(pairs, kernel, skel, gmat, ranks)
-    _fill(dense, doff, dense_ids, kernel, tree)
+    _fill_dense(dense, kernel, tree)
     blocks.coupling, blocks.dense = pairs, dense
     return H2Matrix(
         octree=tree,

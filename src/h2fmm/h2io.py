@@ -155,7 +155,7 @@ def decode(buf) -> H2Matrix:
             **{name: arrays[name] for name in _TREE},
         )
         blocks = BlockTree(*(arrays[name] for name in _BLOCKS))
-        packed = [p for p, _, _ in _storage(tree, blocks, ranks)]
+        packed = _storage(tree, blocks, ranks)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ContainerError(f"inconsistent container: {exc!r}") from exc
     for p, name in zip(packed, _PACKED):

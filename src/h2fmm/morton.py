@@ -7,8 +7,6 @@ interleaved bits, which caps the octree depth at :data:`MAX_LEVEL`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PrecisionLimitError
@@ -56,7 +54,7 @@ def encode_cells(coords, level: int):
     Parameters
     ----------
     coords : array_like, shape (..., 3)
-        Integer coordinates, each in [0, 2**level).
+        Integer coordinates, each in [0, 2**level); ValueError otherwise.
     level : int
 
     Returns
@@ -64,9 +62,11 @@ def encode_cells(coords, level: int):
     np.uint64 array of shape (...,)
     """
     _check_level(level)
-    c = np.asarray(coords, dtype=np.uint64)
-    side = np.uint64(1) << _U(level)
-    if np.any(c >= side):
+    c = np.asarray(coords)
+    if c.dtype != np.uint64:
+        # Viewed as uint64, a negative coordinate lies above every side length.
+        c = c.astype(np.int64, copy=False).view(np.uint64)
+    if np.any(c >= np.uint64(1) << _U(level)):
         raise ValueError(f"cell coordinates out of range for level {level}")
     x, y, z = c[..., 0], c[..., 1], c[..., 2]
     return (spread_bits(x) << _U(2)) | (spread_bits(y) << _U(1)) | spread_bits(z)
@@ -83,54 +83,6 @@ def decode_cells(bits, level: int):
     return out
 
 
-@dataclass(frozen=True, order=True)
-class MortonKey:
-    """A level-tagged interleaved-bit index of one octree cell."""
-
-    level: int
-    bits: int
-
-    def __post_init__(self):
-        _check_level(self.level)
-        if not 0 <= self.bits < 1 << (3 * self.level):
-            raise ValueError(f"key bits {self.bits:#x} out of range for level {self.level}")
-
-    def parent(self) -> "MortonKey":
-        if self.level == 0:
-            raise ValueError("root cell has no parent")
-        return MortonKey(self.level - 1, self.bits >> 3)
-
-    def child(self, octant: int) -> "MortonKey":
-        _check_level(self.level + 1)
-        return MortonKey(self.level + 1, (self.bits << 3) | octant)
-
-    def coords(self):
-        return tuple(int(v) for v in decode_cells(np.uint64(self.bits), self.level))
-
-    def range_start(self) -> int:
-        """First level-MAX_LEVEL key covered by this cell."""
-        return self.bits << (3 * (MAX_LEVEL - self.level))
-
-    def range_size(self) -> int:
-        return 1 << (3 * (MAX_LEVEL - self.level))
-
-
-def morton_encode(cell_coords, level: int) -> MortonKey:
-    """Encode one cell's integer coordinates at ``level`` into a key."""
-    _check_level(level)
-    c = np.asarray(cell_coords, dtype=np.int64)
-    if c.shape != (3,):
-        raise ValueError("cell_coords must be a 3-vector")
-    if np.any(c < 0) or (level < 64 and np.any(c >= (1 << level))):
-        raise ValueError(f"cell coordinates {c.tolist()} out of range for level {level}")
-    return MortonKey(level, int(encode_cells(c, level)))
-
-
-def morton_decode(key: MortonKey):
-    """Integer cell coordinates of ``key`` at its own level."""
-    return key.coords()
-
-
 def points_to_keys(positions, level: int):
     """Morton keys of the level-``level`` cells containing each point.
 
@@ -144,9 +96,3 @@ def points_to_keys(positions, level: int):
     side = 1 << level
     cells = np.minimum((p * side).astype(np.int64), side - 1)
     return encode_cells(cells, level)
-
-
-def point_to_key(position, level: int) -> MortonKey:
-    """Key of the level-``level`` cell containing one point."""
-    p = np.asarray(position, dtype=np.float64).reshape(3)
-    return MortonKey(level, int(points_to_keys(p[None, :], level)[0]))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PrecisionLimitError
 from .geometry import DistributionSpec, ParticleSet, generate
-from .morton import MAX_LEVEL, MortonKey, decode_cells, encode_cells, points_to_keys
+from .morton import MAX_LEVEL, decode_cells, encode_cells, points_to_keys
 
 DEFAULT_LEAF_CAPACITY = 16
 
@@ -109,42 +109,12 @@ class Octree:
     def depth(self) -> int:
         return int(self.levels[self.leaf_ids].max())
 
-    def node_key(self, node: int) -> MortonKey:
-        return MortonKey(int(self.levels[node]), int(self.keys[node]))
-
     def children(self, node: int) -> np.ndarray:
         s, c = self.child_start[node], self.child_count[node]
         return np.arange(s, s + c, dtype=np.int64)
 
     def level_nodes(self, level: int) -> np.ndarray:
         return np.arange(self.level_ptr[level], self.level_ptr[level + 1], dtype=np.int64)
-
-    def find_node(self, key: MortonKey) -> int:
-        """Node id of ``key``; raises KeyError if the cell is not stored."""
-        if key.level >= len(self.level_ptr) - 1:
-            raise KeyError(f"no nodes at level {key.level}")
-        lo, hi = self.level_ptr[key.level], self.level_ptr[key.level + 1]
-        seg = self.keys[lo:hi]
-        pos = np.searchsorted(seg, _U(key.bits))
-        if pos == len(seg) or seg[pos] != _U(key.bits):
-            raise KeyError(f"cell {key} is not stored in the tree")
-        return int(lo + pos)
-
-    def level_histogram(self):
-        """Leaf count per level, as a {level: count} dict."""
-        levels, counts = np.unique(self.levels[self.leaf_ids], return_counts=True)
-        return {int(l): int(c) for l, c in zip(levels, counts)}
-
-    def summary(self) -> dict:
-        return {
-            "n": self.n_particles,
-            "nodes": self.n_nodes,
-            "leaves": self.n_leaves,
-            "depth": self.depth,
-            "leaf_capacity": self.leaf_capacity,
-            "balanced": self.balanced,
-            "leaf_levels": self.level_histogram(),
-        }
 
 
 def _split_cells(k21, starts, counts, level):
@@ -517,20 +487,6 @@ def neighbor_counts(tree: Octree) -> np.ndarray:
     """Number of adjacent leaves for every leaf (leaf-table order)."""
     q, _ = leaf_adjacency_pairs(tree)
     return np.bincount(q, minlength=tree.n_leaves)
-
-
-def neighbor_leaves(tree: Octree, leaf: MortonKey):
-    """All leaves whose boxes share a face, edge or corner with ``leaf``.
-
-    Raises KeyError when ``leaf`` does not name a leaf of the tree.
-    """
-    node = tree.find_node(leaf)
-    if not tree.is_leaf[node]:
-        raise KeyError(f"cell {leaf} is not a leaf")
-    position = int(np.searchsorted(tree.leaf_start21, _U(leaf.bits) << (_U(3) * _U(MAX_LEVEL - leaf.level))))
-    _, m = leaf_adjacency_pairs(tree, query=np.array([position], dtype=np.int64))
-    ids = tree.leaf_ids[m]
-    return [MortonKey(int(tree.levels[i]), int(tree.keys[i])) for i in ids]
 
 
 def depth_stats(spec: DistributionSpec, n_values, leaf_capacity: int = DEFAULT_LEAF_CAPACITY):

@@ -3,13 +3,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_communication_scaling_demo_runs():
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(demo):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "communication_scaling.py")],
+        [sys.executable, str(demo)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,

@@ -7,8 +7,8 @@ from h2fmm import h2 as h2_module
 from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, generate
 from h2fmm.h2 import (
+    _admissible,
     _far_partners,
-    admissible,
     build_block_tree,
     compress,
     coupling,
@@ -20,7 +20,7 @@ from h2fmm.h2 import (
     upsweep,
 )
 from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block
-from h2fmm.morton import morton_encode
+from h2fmm.morton import MAX_LEVEL
 from h2fmm.tree import _ranges_concat, balance_2to1, build_tree
 
 LAPLACE = KernelSpec("laplace3d", regularization=1e-2)
@@ -51,32 +51,31 @@ def h2_512(tree512):
     return compress(tree512, LAPLACE, eps=1e-6)
 
 
+def admissible(a, b, level, eta=h2_module.DEFAULT_ETA):
+    """``_admissible`` on two same-level cells given by their coordinates."""
+    shift = MAX_LEVEL - level
+    lo_a, lo_b = (np.array([c], dtype=np.int64) << shift for c in (a, b))
+    size = np.array([1 << shift])
+    return bool(_admissible(lo_a, size, lo_b, size, eta)[0])
+
+
 def test_admissible_identical_cell_false():
-    c = morton_encode((1, 1, 1), 2)
-    assert not admissible(c, c)
+    assert not admissible((1, 1, 1), (1, 1, 1), 2)
 
 
 def test_admissible_face_adjacent_false():
-    a = morton_encode((0, 0, 0), 2)
-    b = morton_encode((1, 0, 0), 2)
-    assert not admissible(a, b)
-    corner = morton_encode((1, 1, 1), 2)
-    assert not admissible(a, corner)
+    assert not admissible((0, 0, 0), (1, 0, 0), 2)
+    assert not admissible((0, 0, 0), (1, 1, 1), 2)  # corner
 
 
 def test_admissible_two_widths_apart_true():
-    a = morton_encode((0, 0, 0), 2)
-    b = morton_encode((2, 0, 0), 2)
-    assert admissible(a, b)
-    diag = morton_encode((2, 2, 2), 2)
-    assert admissible(a, diag)
+    assert admissible((0, 0, 0), (2, 0, 0), 2)
+    assert admissible((0, 0, 0), (2, 2, 2), 2)  # diagonal
 
 
 def test_admissible_eta_sensitivity():
-    a = morton_encode((0, 0, 0), 3)
-    b = morton_encode((2, 0, 0), 3)
-    assert not admissible(a, b, eta=1.0)  # needs dist >= diam
-    assert admissible(a, b, eta=4.0)
+    assert not admissible((0, 0, 0), (2, 0, 0), 3, eta=1.0)  # needs dist >= diam
+    assert admissible((0, 0, 0), (2, 0, 0), 3, eta=4.0)
 
 
 def test_block_tree_partitions_index_square(tree512):

@@ -2,28 +2,25 @@ import numpy as np
 import pytest
 
 from h2fmm.errors import PrecisionLimitError
-from h2fmm.morton import (
-    MAX_LEVEL,
-    MortonKey,
-    decode_cells,
-    encode_cells,
-    morton_decode,
-    morton_encode,
-    point_to_key,
-    points_to_keys,
-)
+from h2fmm.morton import MAX_LEVEL, decode_cells, encode_cells, points_to_keys
+
+
+def encode_one(coords, level):
+    return int(encode_cells(np.array([coords]), level)[0])
+
+
+def decode_one(bits, level):
+    return tuple(decode_cells(np.array([bits], dtype=np.uint64), level)[0].tolist())
 
 
 def test_root_key():
-    k = morton_encode((0, 0, 0), 0)
-    assert k.bits == 0 and k.level == 0
+    assert encode_one((0, 0, 0), 0) == 0
 
 
 def test_level1_roundtrip_pinned():
-    k = morton_encode((1, 0, 1), 1)
-    assert k.level == 1
-    assert k.bits < 8
-    assert morton_decode(k) == (1, 0, 1)
+    bits = encode_one((1, 0, 1), 1)
+    assert bits < 8
+    assert decode_one(bits, 1) == (1, 0, 1)
 
 
 def test_roundtrip_random_levels():
@@ -44,27 +41,28 @@ def test_injective_per_level_exhaustive():
 
 
 def test_sibling_keys_differ_in_low_bits():
-    parent = morton_encode((2, 5, 1), 3)
-    kids = [parent.child(o) for o in range(8)]
-    assert {k.bits >> 3 for k in kids} == {parent.bits}
-    assert sorted(k.bits & 7 for k in kids) == list(range(8))
+    parent = np.array([2, 5, 1])
+    octants = np.array([[dx, dy, dz] for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
+    kids = encode_cells((parent << 1) + octants, 4)
+    assert set((kids >> np.uint64(3)).tolist()) == {encode_one(parent, 3)}
+    assert sorted((kids & np.uint64(7)).tolist()) == list(range(8))
 
 
 def test_parent_drops_three_bits():
-    k = morton_encode((13, 6, 9), 4)
-    assert k.parent().bits == k.bits >> 3
-    assert k.parent().level == 3
+    coords = np.array([13, 6, 9])
+    bits = encode_one(coords, 4)
+    assert encode_one(coords >> 1, 3) == bits >> 3
 
 
 def test_point_to_key_origin():
     for level in (0, 1, 5, 21):
-        assert point_to_key((0.0, 0.0, 0.0), level).bits == 0
+        assert points_to_keys(np.zeros((1, 3)), level)[0] == 0
 
 
 def test_point_to_key_halfopen_boundary():
     # 0.5 belongs to the upper cell under half-open intervals.
-    k = point_to_key((0.5, 0.5, 0.5), 1)
-    assert morton_decode(k) == (1, 1, 1)
+    keys = points_to_keys(np.array([[0.5, 0.5, 0.5]]), 1)
+    assert decode_one(keys[0], 1) == (1, 1, 1)
 
 
 def test_point_containment_random():
@@ -89,16 +87,17 @@ def test_parent_of_child_property():
 
 def test_level_limit_error():
     with pytest.raises(PrecisionLimitError):
-        morton_encode((0, 0, 0), MAX_LEVEL + 1)
+        encode_cells(np.zeros((1, 3), dtype=np.int64), MAX_LEVEL + 1)
     with pytest.raises(PrecisionLimitError):
-        MortonKey(22, 0)
+        decode_cells(np.zeros(1, dtype=np.uint64), MAX_LEVEL + 1)
 
 
 def test_coordinate_range_validation():
-    with pytest.raises(ValueError):
-        morton_encode((2, 0, 0), 1)
-    with pytest.raises(ValueError):
-        MortonKey(1, 8)
+    for cells in ([[2, 0, 0]], [[-1, 0, 0]], [[0, 0, 0], [0, 2, 0]]):
+        with pytest.raises(ValueError):
+            encode_cells(cells, 1)  # a Python list
+        with pytest.raises(ValueError):
+            encode_cells(np.array(cells, dtype=np.int64), 1)
 
 
 def test_positions_outside_cube_rejected():

@@ -9,14 +9,13 @@ from hypothesis.extra import numpy as hnp
 
 from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DistributionSpec, ParticleSet, generate
-from h2fmm.morton import MAX_LEVEL, MortonKey, morton_encode
+from h2fmm.morton import MAX_LEVEL, decode_cells
 from h2fmm.tree import (
     balance_2to1,
     build_tree,
     depth_stats,
     leaf_adjacency_pairs,
     neighbor_counts,
-    neighbor_leaves,
     sorted_unique,
 )
 
@@ -171,26 +170,22 @@ def test_neighbor_counts_uniform_level2():
     ps = lattice_particles(2, 8)
     t = build_tree(ps, 16)
     counts = neighbor_counts(t)
-    coords = np.stack(
-        [np.array(MortonKey(2, int(t.keys[i])).coords()) for i in t.leaf_ids]
-    )
+    coords = decode_cells(t.keys[t.leaf_ids], 2)
     interior = (coords > 0).all(axis=1) & (coords < 3).all(axis=1)
     corner = ((coords == 0) | (coords == 3)).all(axis=1)
     assert (counts[interior] == 26).all()
     assert (counts[corner] == 7).all()
 
 
-def test_neighbor_leaves_query_and_errors():
+def test_adjacency_query_corner_leaf():
     ps = lattice_particles(1, 4)
     t = build_tree(ps, 8)
-    corner = morton_encode((0, 0, 0), 1)
-    nbrs = neighbor_leaves(t, corner)
-    assert len(nbrs) == 7
-    assert all(k.level == 1 for k in nbrs)
-    with pytest.raises(KeyError):
-        neighbor_leaves(t, morton_encode((0, 0, 0), 0))  # interior node
-    with pytest.raises(KeyError):
-        neighbor_leaves(t, morton_encode((5, 5, 5), 3))  # absent cell
+    corner = int(np.flatnonzero(t.keys[t.leaf_ids] == 0)[0])  # cell (0, 0, 0)
+    assert t.levels[t.leaf_ids[corner]] == 1
+    q, m = leaf_adjacency_pairs(t, query=[corner])
+    assert (q == corner).all()
+    assert len(m) == 7
+    assert (t.levels[t.leaf_ids[m]] == 1).all()
 
 
 def test_balanced_plummer_neighbor_bound():
