@@ -1,8 +1,9 @@
 """Command-line front end: gen, tree-stats, compress, matvec, commsim, verify.
 
 Every subcommand is deterministic given its flags and seed.  Exit codes:
-0 success, 2 usage/configuration error or malformed container, 3
-precondition or guard violation, 4 internal invariant failure.
+0 success, 2 usage/configuration error, malformed container or a path
+that cannot be read or written, 3 precondition or guard violation, 4
+internal invariant failure.
 """
 from __future__ import annotations
 
@@ -171,6 +172,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_matvec(args) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     h2 = load_h2(args.matrix)
     n = h2.n
     rng = np.random.Generator(np.random.PCG64(args.seed))
@@ -379,6 +382,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigurationError, ContainerError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an unwritable or missing path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OracleScaleError, PrecisionLimitError, PartitionError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PartitionError
 from .geometry import DistributionSpec, generate
-from .morton import decode_cells, encode_cells  # encode_cells: kept for the benchmark tracer
+from .morton import MAX_LEVEL, decode_cells, encode_cells
 from .tree import (
     _OFFSETS,
     CellLocator,
@@ -33,6 +33,8 @@ from .tree import (
     leaf_adjacency_pairs,
     sorted_unique,
 )
+
+_U = np.uint64
 
 PHASES = ("global-m2m", "global-m2l", "local-m2l", "local-p2p")
 MODES = ("periodic", "truncated")
@@ -456,6 +458,30 @@ def _accumulate_phase(split, phase, level_needs):
     return PhaseResult(phase, partners, sent, recv, per_level)
 
 
+def _interior(split, radius):
+    """Per-node mask: the cells within Chebyshev ``radius`` of the node all
+    lie in its one owner's Morton range, so it needs nothing remote.
+
+    Process p owns the level-21 range [b_p, b_p+1), b_p the start of its
+    first leaf (b_0 = 0, b_P = 2^63).  Morton order is monotone per axis,
+    so every cell of the window, clipped to the grid, falls between the
+    keys of the window's low and high corners.
+    """
+    tree = split.tree
+    lp = split.partition.leaf_process
+    bounds = np.append(tree.leaf_start21[np.flatnonzero(np.diff(lp, prepend=-1))], _U(1) << _U(63))
+    bounds[0] = 0
+    shift = _U(3) * (_U(MAX_LEVEL) - tree.levels.astype(np.uint64))
+    cell = (np.int64(1) << (MAX_LEVEL - tree.levels.astype(np.int64)))[:, None]
+    anchor = decode_cells(tree.keys << shift, MAX_LEVEL)
+    low = np.maximum(anchor - radius * cell, 0)
+    high = np.minimum(anchor + radius * cell, (np.int64(1) << MAX_LEVEL) - cell)
+    first, last = encode_cells(np.stack([low, high]), MAX_LEVEL)
+    # A node spanning two processes crosses a bound, so it is never interior.
+    p = split.owner_lo
+    return (bounds[p] <= first) & (last + (_U(1) << shift) <= bounds[p + 1])
+
+
 def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
     """Sibling exchanges up the global tree.
 
@@ -493,10 +519,11 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
     Needed cells are existing same-level cells within Chebyshev distance
     two of a process's strictly-local cells, owned by another process
     and not part of the global tree.  A cell that is not global has one
-    owner, so each source passes its ``owner_lo`` alone.
+    owner, so each source passes its ``owner_lo`` alone; interior sources
+    are skipped.
     """
     tree = split.tree
-    sources = split.tags == TAG_LOCAL
+    sources = (split.tags == TAG_LOCAL) & ~_interior(split, 2)
     needs = []
     for level in range(1, tree.depth + 1):
         src, dst = _level_pairs(split.locator, level, radius=2, sources=sources)
@@ -507,9 +534,13 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
 
 
 def sim_local_p2p(split: GlobalLocalSplit) -> PhaseResult:
-    """Adjacent-leaf halo across process boundaries (one cell wide)."""
+    """Adjacent-leaf halo across process boundaries (one cell wide).
+
+    Only leaves that are not interior at radius 1 are queried.
+    """
     tree = split.tree
-    q, m = leaf_adjacency_pairs(tree)
+    query = np.flatnonzero(~_interior(split, 1)[tree.leaf_ids])
+    q, m = leaf_adjacency_pairs(tree, query=query)
     procs = split.partition.leaf_process[q].astype(np.int64)
     needs = _remote(split, procs, tree.leaf_ids[m].astype(np.int64))
     return _accumulate_phase(split, "local-p2p", [(0, *needs)])

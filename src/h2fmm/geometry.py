@@ -40,6 +40,8 @@ class DistributionSpec:
             )
         if self.n < 1:
             raise ConfigurationError(f"particle count must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Interaction kernels and the dense matrix oracle."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ class KernelSpec:
     ``regularization`` is the delta in r -> sqrt(r^2 + delta^2); with
     delta = 0 the singular kernels are infinite at coincident points.
     ``sigma`` is the gaussian width and is ignored by the other kinds.
+    Both must be finite.
     """
 
     kind: str = "laplace3d"
@@ -32,6 +34,11 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ConfigurationError(
                 f"unsupported kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
+            )
+        if not (math.isfinite(self.regularization) and math.isfinite(self.sigma)):
+            raise ConfigurationError(
+                f"kernel parameters must be finite, got regularization={self.regularization}, "
+                f"sigma={self.sigma}"
             )
         if self.regularization < 0.0:
             raise ConfigurationError("regularization must be >= 0")

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError, PrecisionLimitError
 from .geometry import DistributionSpec, ParticleSet, generate
-from .morton import MAX_LEVEL, decode_cells, encode_cells, points_to_keys
+from .morton import MAX_LEVEL, decode_cells, points_to_keys
+from .morton import encode_cells  # noqa: F401 - kept for the benchmark tracer
 
 DEFAULT_LEAF_CAPACITY = 16
 
@@ -268,34 +269,22 @@ def _leaf_anchor_coords(start21):
     return decode_cells(start21, MAX_LEVEL)
 
 
-def _neighbor_cell_starts(coords21, levels, offset):
-    """Start-of-range keys of same-level neighbor cells, with validity mask.
+def _mark_for_balance(tree: Octree):
+    """Flag leaves (leaf-table positions) at least two levels coarser than an adjacent leaf.
 
-    coords21 are leaf anchor coordinates on the level-21 grid; the
-    neighbor cell lies one own-cell-size step along ``offset``.
+    Each leaf at level l >= 2 locates its 26 same-level neighbour cells; a
+    node found there at level <= l - 2 can only be a leaf covering the cell.
     """
-    size = np.int64(1) << (MAX_LEVEL - levels.astype(np.int64))
-    nc = coords21 + offset[None, :] * size[:, None]
-    side = np.int64(1) << MAX_LEVEL
-    valid = ((nc >= 0) & (nc < side)).all(axis=1)
-    nc_valid = np.where(valid[:, None], nc, 0)
-    targets = encode_cells(nc_valid.astype(np.uint64), MAX_LEVEL)
-    return targets, valid
-
-
-def _mark_for_balance(levels, start21, end21):
-    """Flag leaves at least two levels coarser than an adjacent leaf."""
-    coords21 = _leaf_anchor_coords(start21)
-    lev = levels.astype(np.int64)
-    mark = np.zeros(len(levels), dtype=bool)
-    for offset in _OFFSETS:
-        targets, valid = _neighbor_cell_starts(coords21, levels, offset)
-        pos = np.searchsorted(start21, targets, side="right") - 1
-        ok = valid & (pos >= 0)
-        p = np.where(ok, pos, 0)
-        covered = ok & (end21[p] > targets) & (levels[p].astype(np.int64) <= lev - 2)
-        mark[p[covered]] = True
-    return mark
+    loc = CellLocator(tree)
+    levels = tree.levels[tree.leaf_ids]
+    mark = np.zeros(tree.n_nodes + 1, dtype=bool)  # [-1] absorbs the empty cell
+    for level in range(2, tree.depth + 1):
+        ids = tree.leaf_ids[levels == level]
+        moved = [{d: c + d for d in (-1, 0, 1)} for c in decode_cells(tree.keys[ids], level).T]
+        for off in _OFFSETS.tolist():
+            node = loc.locate(level, [ax[d] for ax, d in zip(moved, off)])
+            mark[node[loc.levels[node] <= level - 2]] = True
+    return mark[tree.leaf_ids]
 
 
 def _split_marked(k21, lkeys, llevels, lstarts, lcounts, mark):
@@ -332,33 +321,20 @@ def balance_2to1(tree: Octree) -> Octree:
 
     Returns a new tree; the input is left untouched.
     """
-    ids = tree.leaf_ids
-    lkeys = tree.keys[ids].copy()
-    llevels = tree.levels[ids].copy()
-    lstarts = tree.starts[ids].copy()
-    lcounts = tree.counts[ids].copy()
+    def assemble(leaves):
+        return _assemble(tree.particles, tree.order, tree.keys21, tree.leaf_capacity, *leaves, True)
+
+    out = tree
     for _ in range(MAX_LEVEL * MAX_LEVEL):
-        start21 = lkeys << (_U(3) * (_U(MAX_LEVEL) - llevels.astype(np.uint64)))
-        end21 = start21 + (_U(1) << (_U(3) * (_U(MAX_LEVEL) - llevels.astype(np.uint64))))
-        mark = _mark_for_balance(llevels, start21, end21)
+        ids = out.leaf_ids
+        leaves = (out.keys[ids], out.levels[ids], out.starts[ids], out.counts[ids])
+        mark = _mark_for_balance(out)
         if not mark.any():
             break
-        lkeys, llevels, lstarts, lcounts = _split_marked(
-            tree.keys21, lkeys, llevels, lstarts, lcounts, mark
-        )
+        out = assemble(_split_marked(tree.keys21, *leaves, mark))
     else:  # pragma: no cover - the ripple strictly deepens marked leaves
         raise RuntimeError("2:1 balancing did not reach a fixpoint")
-    return _assemble(
-        tree.particles,
-        tree.order,
-        tree.keys21,
-        tree.leaf_capacity,
-        lkeys,
-        llevels,
-        lstarts,
-        lcounts,
-        True,
-    )
+    return assemble(leaves) if out is tree else out
 
 
 # Cell cap of the locator's deepest dense table: 2^21 int32 cells, 8 MiB.

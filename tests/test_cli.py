@@ -281,6 +281,59 @@ def test_matvec_oracle_guard_exit_code(compressed, tmp_path, monkeypatch):
     assert rc == 3
 
 
+def _usage_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+_COMMANDS = {
+    "gen": ["gen", "--dist", "plummer", "--n", "100"],
+    "tree-stats": ["tree-stats", "--n-values", "100,200"],
+    "compress": ["compress", "--n", "300", "--kernel", "gaussian"],
+    "commsim": ["commsim", "--dist", "plummer", "--P", "8", "--n-per-p", "64", "--mode", "truncated"],
+    "matvec": ["matvec", "--no-oracle"],
+}
+
+
+def _command(name, compressed):
+    """A run of subcommand ``name`` that succeeds as it stands."""
+    return _COMMANDS[name] + (["--matrix", str(compressed[0])] if name == "matvec" else [])
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_negative_seed_rejected(compressed, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert run(_command(name, compressed) + ["--seed", "-1", "--out", str(out)]) == 2
+    assert _usage_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kernel", "laplace3d", "--delta", "inf"],
+        ["--kernel", "laplace3d", "--delta", "nan"],
+        ["--kernel", "gaussian", "--sigma", "nan"],
+        ["--kernel", "gaussian", "--sigma", "inf"],
+    ],
+)
+def test_compress_non_finite_kernel_parameter_rejected(tmp_path, capsys, flags):
+    out = tmp_path / "m.h2"
+    summary = tmp_path / "s.json"
+    rc = run(["compress", "--n", "300", "--out", str(out), "--summary", str(summary)] + flags)
+    assert rc == 2
+    assert _usage_error(capsys)
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("name, flag", [("gen", "--out"), ("compress", "--summary"), ("commsim", "--out"), ("matvec", "--out")])
+def test_unwritable_output_path_rejected(compressed, tmp_path, capsys, name, flag):
+    missing = tmp_path / "missing" / "out"
+    assert run(_command(name, compressed) + [flag, str(missing)]) == 2
+    assert _usage_error(capsys)
+    assert not missing.parent.exists()
+
+
 def test_compress_from_particle_file(tmp_path):
     particles = tmp_path / "p.bin"
     run(["gen", "--dist", "plummer", "--n", "300", "--seed", "4", "--out", str(particles), "--format", "bin"])

@@ -515,3 +515,65 @@ def test_csv_emission(tmp_path):
     assert len(lines) == 1 + 4 * 8  # four phases, eight processes
     first = lines[1].split(",")
     assert first[0] == "global-m2m" and first[3] == "8"
+
+
+def _brute_interior(split, radius):
+    """Every clipped window cell, encoded on its own, inside the owner's range."""
+    from h2fmm.morton import MAX_LEVEL, encode_cells
+
+    tree = split.tree
+    lp = split.partition.leaf_process
+    first = [int(np.flatnonzero(lp == p)[0]) for p in range(split.partition.P)]
+    bounds = [0] + [int(tree.leaf_start21[f]) for f in first[1:]] + [1 << 63]
+    offs = np.array(np.meshgrid(*[np.arange(-radius, radius + 1)] * 3, indexing="ij")).reshape(3, -1).T
+    out = np.zeros(tree.n_nodes, dtype=bool)
+    for node in range(tree.n_nodes):
+        level = int(tree.levels[node])
+        cells = decode_cells(tree.keys[node : node + 1], level) + offs
+        cells = cells[((cells >= 0) & (cells < (1 << level))).all(axis=1)]
+        keys = encode_cells(cells << (MAX_LEVEL - level), MAX_LEVEL).astype(object)
+        lo, hi = int(split.owner_lo[node]), int(split.owner_hi[node])
+        end = (keys + (1 << 3 * (MAX_LEVEL - level))).max()
+        out[node] = lo == hi and bounds[lo] <= keys.min() and end <= bounds[lo + 1]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["plummer", "sphere-surface"])
+def test_interior_mask_matches_window_oracle(kind):
+    from h2fmm.commsim import _interior
+
+    tree = balance_2to1(build_tree(generate(DistributionSpec(kind, 3000, seed=5)), 4))
+    for P in (1, 3, 8, 64):
+        split = split_global_local(tree, partition_sfc(tree, P))
+        for radius in (1, 2):
+            got = _interior(split, radius)
+            assert np.array_equal(got, _brute_interior(split, radius)), (P, radius)
+            # One process owns everything; a few own most cells' windows.
+            assert got.all() if P == 1 else got.any() or P == 64, (P, radius)
+
+
+def _phase_digest(ph):
+    return (ph.partners.tolist(), ph.cells_sent.tolist(), ph.cells_recv.tolist(), ph.per_level)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["random-cube", "sphere-surface", "plummer"]),
+    n=st.integers(50, 3000),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 16),
+    P=st.integers(2, 40),
+    balance=st.booleans(),
+)
+def test_local_phases_unchanged_by_interior_skip(kind, n, seed, leaf_capacity, P, balance):
+    import h2fmm.commsim as commsim
+
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balance:
+        tree = balance_2to1(tree)
+    split = split_global_local(tree, partition_sfc(tree, min(P, tree.n_leaves)))
+    fast = [_phase_digest(sim(split)) for sim in (sim_local_m2l, sim_local_p2p)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(commsim, "_interior", lambda split, radius: np.zeros(split.tree.n_nodes, bool))
+        slow = [_phase_digest(sim(split)) for sim in (sim_local_m2l, sim_local_p2p)]
+    assert fast == slow

@@ -81,6 +81,11 @@ def test_empty_count_rejected():
         DistributionSpec("plummer", 0, seed=0)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigurationError, match="seed"):
+        DistributionSpec("plummer", 10, seed=-1)
+
+
 def test_csv_roundtrip_exact(tmp_path):
     ps = generate(DistributionSpec("plummer", 257, seed=3))
     path = tmp_path / "p.csv"

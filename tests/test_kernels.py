@@ -72,3 +72,13 @@ def test_unknown_kernel_kind():
         KernelSpec("gaussian", sigma=0.0)
     with pytest.raises(ConfigurationError):
         KernelSpec("laplace3d", regularization=-1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_kernel_parameters_rejected(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        KernelSpec("laplace3d", regularization=bad)
+    with pytest.raises(ConfigurationError, match="finite"):
+        KernelSpec("gaussian", sigma=bad)
+    with pytest.raises(ConfigurationError, match="finite"):
+        KernelSpec("laplace3d", regularization=1e-2, sigma=bad)

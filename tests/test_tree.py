@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,87 @@ def test_balance_only_refines():
         lev, key = int(tb.levels[i]), int(tb.keys[i])
         found = any((lev - d, key >> (3 * d)) in orig for d in range(lev + 1))
         assert found
+
+
+# sha256 of the int64 bytes of the balanced tree's leaf keys, levels,
+# starts and counts (leaf-table order), N = 16384, seed 0; recorded on the
+# per-offset encode + searchsorted balance that the cell locator replaced.
+PINNED_BALANCE_DIGESTS = {
+    ("plummer", 16): "ec5ebc6d26d8145fa24e8c5f2e4bd9f7b7e68e604e228f9cd11f28b0f7d7c401",
+    ("plummer", 1): "ffd7e56ce67a1c4e3a83edc8842260b7032aaabb97b3f7fa1ba03826212f8cf3",
+    ("sphere-surface", 16): "575133fa220b113fa7e70861f4dfe9fd04090da543ff758589bba0922aa4610d",
+    ("sphere-surface", 1): "c7ab3f218c2151b3f719d438fe0998edc40a48b2b6c5ce15d87b8859c9cf1dff",
+}
+
+
+def _leaf_digest(tree):
+    ids = tree.leaf_ids
+    h = hashlib.sha256()
+    for a in (tree.keys[ids], tree.levels[ids], tree.starts[ids], tree.counts[ids]):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["plummer", "sphere-surface"])
+def test_balance_pinned(kind):
+    ps = generate(DistributionSpec(kind, 16384, seed=0))
+    for leaf_capacity in (16, 1):
+        tb = balance_2to1(build_tree(ps, leaf_capacity))
+        assert _leaf_digest(tb) == PINNED_BALANCE_DIGESTS[(kind, leaf_capacity)], leaf_capacity
+
+
+def brute_balance_leaves(tree):
+    """(level, key) leaf set of the 2:1 ripple, by the O(L^2) contact oracle.
+
+    Splits every leaf that touches a leaf two or more levels deeper, one
+    whole tree rebuild per sweep, until nothing changes.
+    """
+    from h2fmm.tree import _assemble
+
+    while True:
+        ids = tree.leaf_ids
+        levels = tree.levels[ids].astype(int)
+        coarse = {i for i, j in brute_adjacent_pairs(tree) if levels[j] - levels[i] >= 2}
+        if not coarse:
+            return {(int(tree.levels[i]), int(tree.keys[i])) for i in ids}
+        leaves = []
+        for pos, node in enumerate(ids):
+            s, c, lev = int(tree.starts[node]), int(tree.counts[node]), int(levels[pos])
+            if pos not in coarse:
+                leaves.append((int(tree.keys[node]), lev, s, c))
+                continue
+            # The node's particles are Morton-sorted, so each child is one run.
+            child = (tree.keys21[s : s + c] >> np.uint64(3 * (MAX_LEVEL - lev - 1))).tolist()
+            for ck in sorted(set(child)):
+                leaves.append((ck, lev + 1, s + child.index(ck), child.count(ck)))
+        keys, lev, starts, counts = zip(*leaves)
+        tree = _assemble(
+            tree.particles,
+            tree.order,
+            tree.keys21,
+            tree.leaf_capacity,
+            np.array(keys, dtype=np.uint64),
+            np.array(lev, dtype=np.int8),
+            np.array(starts, dtype=np.int64),
+            np.array(counts, dtype=np.int64),
+            True,
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["random-cube", "sphere-surface", "plummer"]),
+    n=st.integers(1, 1500),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 16),
+)
+def test_balance_matches_bruteforce_ripple(kind, n, seed, leaf_capacity):
+    t = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    tb = balance_2to1(t)
+    assert {(int(tb.levels[i]), int(tb.keys[i])) for i in tb.leaf_ids} == brute_balance_leaves(t)
+    again = balance_2to1(tb)
+    assert _leaf_digest(again) == _leaf_digest(tb)
+    assert again.n_nodes == tb.n_nodes
 
 
 def test_adjacency_matches_bruteforce_oracle():
