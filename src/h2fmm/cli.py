@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -75,6 +76,17 @@ def _int_list(flag, text):
     return values
 
 
+def _check_writable(*paths):
+    """Refuse before any work or write if one output path cannot be written,
+    so a failing command leaves no file behind."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ConfigurationError(f"cannot write {path}: not a writable file path")
+
+
 def _json_dump(obj, path):
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path is None or path == "-":
@@ -85,6 +97,7 @@ def _json_dump(obj, path):
 
 
 def cmd_gen(args) -> int:
+    _check_writable(args.out, args.summary)
     spec = DistributionSpec(_dist_kind(args.dist), args.n, args.seed)
     particles = generate(spec)
     if args.format == "bin":
@@ -132,6 +145,7 @@ def _load_particles(path):
 
 
 def cmd_compress(args) -> int:
+    _check_writable(args.out, args.summary)
     if args.infile:
         particles = _load_particles(args.infile)
         kind = "file"
@@ -174,6 +188,7 @@ def cmd_compress(args) -> int:
 def cmd_matvec(args) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
+    _check_writable(args.out, args.summary)
     h2 = load_h2(args.matrix)
     n = h2.n
     rng = np.random.Generator(np.random.PCG64(args.seed))
@@ -225,6 +240,7 @@ def cmd_matvec(args) -> int:
 
 
 def cmd_commsim(args) -> int:
+    _check_writable(args.out, args.summary)
     kind = _dist_kind(args.dist)
     P_values = _int_list("--P", args.P)
     NP_values = _int_list("--n-per-p", args.n_per_p)

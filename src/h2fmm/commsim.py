@@ -31,6 +31,8 @@ from .tree import (
     balance_2to1,
     build_tree,
     leaf_adjacency_pairs,
+    node_boxes,
+    node_leaves,
     sorted_unique,
 )
 
@@ -119,18 +121,8 @@ class GlobalLocalSplit:
 def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
     """Tag every node as global, local root, or local."""
     n_nodes = tree.n_nodes
-    leaf_pos = np.full(n_nodes, -1, dtype=np.int64)
-    leaf_pos[tree.leaf_ids] = np.arange(tree.n_leaves)
-    lo = np.full(n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
-    hi = np.full(n_nodes, -1, dtype=np.int64)
-    lo[tree.leaf_ids] = hi[tree.leaf_ids] = leaf_pos[tree.leaf_ids]
-    for level in range(tree.depth, 0, -1):
-        ids = tree.level_nodes(level)
-        p = tree.parents[ids]
-        np.minimum.at(lo, p, lo[ids])
-        np.maximum.at(hi, p, hi[ids])
-    owner_lo = partition.leaf_process[lo].astype(np.int32)
-    owner_hi = partition.leaf_process[hi].astype(np.int32)
+    first, count = node_leaves(tree)
+    owner_lo, owner_hi = partition.leaf_process[[first, first + count - 1]].astype(np.int32)
     multi = owner_lo != owner_hi
     tags = np.zeros(n_nodes, dtype=np.int8)
     tags[multi] = TAG_GLOBAL
@@ -471,15 +463,14 @@ def _interior(split, radius):
     lp = split.partition.leaf_process
     bounds = np.append(tree.leaf_start21[np.flatnonzero(np.diff(lp, prepend=-1))], _U(1) << _U(63))
     bounds[0] = 0
-    shift = _U(3) * (_U(MAX_LEVEL) - tree.levels.astype(np.uint64))
-    cell = (np.int64(1) << (MAX_LEVEL - tree.levels.astype(np.int64)))[:, None]
-    anchor = decode_cells(tree.keys << shift, MAX_LEVEL)
+    anchor, size = node_boxes(tree)
+    cell = size[:, None]
     low = np.maximum(anchor - radius * cell, 0)
     high = np.minimum(anchor + radius * cell, (np.int64(1) << MAX_LEVEL) - cell)
     first, last = encode_cells(np.stack([low, high]), MAX_LEVEL)
     # A node spanning two processes crosses a bound, so it is never interior.
     p = split.owner_lo
-    return (bounds[p] <= first) & (last + (_U(1) << shift) <= bounds[p + 1])
+    return (bounds[p] <= first) & (last + size.astype(_U) ** 3 <= bounds[p + 1])
 
 
 def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:

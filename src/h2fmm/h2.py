@@ -37,27 +37,18 @@ bases and blocks, so its format does not depend on how they were built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import KernelSpec, kernel_block
-from .morton import MAX_LEVEL, decode_cells
-from .tree import Octree, _ranges_concat
+from .morton import MAX_LEVEL
+from .tree import Octree, _ranges_concat, node_boxes
 
 DEFAULT_ETA = 1.75  # admits same-level cells separated by >= one cell width
 
 _CHUNK_ELEMENTS = 2**20  # cap on the entries of one kernel_block call
-
-
-def _node_boxes(tree: Octree):
-    """Integer anchor coordinates and edge lengths on the level-21 grid."""
-    shift = (MAX_LEVEL - tree.levels.astype(np.int64)).astype(np.uint64) * np.uint64(3)
-    start21 = tree.keys << shift
-    anchors = decode_cells(start21, MAX_LEVEL)
-    sizes = np.int64(1) << (MAX_LEVEL - tree.levels.astype(np.int64))
-    return anchors, sizes
 
 
 def _box_gap2(lo_a, sa, lo_b, sb):
@@ -154,7 +145,7 @@ def build_block_tree(tree: Octree, eta: float = DEFAULT_ETA) -> BlockTree:
     octree leaves become dense leaves; anything else splits every
     non-leaf side.
     """
-    anchors, sizes = _node_boxes(tree)
+    anchors, sizes = node_boxes(tree)
     cur_i = np.zeros(1, dtype=np.int64)
     cur_j = np.zeros(1, dtype=np.int64)
     lr_i, lr_j, dn_i, dn_j = [], [], [], []
@@ -200,15 +191,6 @@ def build_block_tree(tree: Octree, eta: float = DEFAULT_ETA) -> BlockTree:
     )
 
 
-def _expand(tree: Octree, node: int, mat, explicit) -> np.ndarray:
-    """Explicit (n_node, k) basis from the node's matrix and its children's."""
-    if tree.is_leaf[node]:
-        return mat
-    kids = [explicit[c] for c in tree.children(node)]
-    rows = np.cumsum([0] + [u.shape[1] for u in kids])
-    return np.vstack([u @ mat[a:b] for u, a, b in zip(kids, rows, rows[1:])])
-
-
 @dataclass
 class BasisTree:
     """The nested basis over the octree nodes, shared by rows and columns.
@@ -221,20 +203,11 @@ class BasisTree:
     ranks: np.ndarray
     tails: np.ndarray  # achieved relative truncation tail per node
     mats: Packed
-    _explicit: dict = field(default_factory=dict, repr=False)
 
     @property
     def offsets(self) -> np.ndarray:
         """Node n's slot in a reduced vector is ``offsets[n]:offsets[n + 1]``."""
         return np.concatenate([[0], np.cumsum(self.ranks, dtype=np.int64)])
-
-    def explicit_basis(self, tree: Octree, node: int) -> np.ndarray:
-        """Assemble the dense (n_node, k) basis by expanding transfers."""
-        if not self._explicit:  # children come before parents in storage
-            for ids, group in self.mats.groups():
-                for n, mat in zip(ids.tolist(), group):
-                    self._explicit[n] = _expand(tree, n, mat, self._explicit)
-        return self._explicit[int(node)]
 
 
 @dataclass
@@ -293,7 +266,7 @@ def _far_boxes(tree: Octree, blocks: BlockTree, radius=math.inf, eta=DEFAULT_ETA
     ``(ptr, boxes)``: node n's boxes are ``boxes[ptr[n]:ptr[n + 1]]``, in
     increasing id order.
     """
-    anchors, sizes = _node_boxes(tree)
+    anchors, sizes = node_boxes(tree)
     own = np.searchsorted(blocks.lr_row, np.arange(tree.n_nodes + 1))
     nodes = anc = np.arange(tree.n_nodes)
     found_i, found_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -316,12 +289,6 @@ def _far_boxes(tree: Octree, blocks: BlockTree, radius=math.inf, eta=DEFAULT_ETA
     i, j = np.concatenate(found_i), np.concatenate(found_j)
     order = np.lexsort((j, i))
     return np.searchsorted(i[order], np.arange(tree.n_nodes + 1)), j[order]
-
-
-def _far_partners(tree: Octree, blocks: BlockTree):
-    """Per node: its whole far field as a list of partner boxes."""
-    ptr, boxes = _far_boxes(tree, blocks)
-    return [boxes[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def _kernel_rows(kernel, row_points, col_points):
@@ -442,7 +409,7 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree, eta):
     for level in range(1, tree.depth + 1):
         nodes = tree.level_nodes(level)
         has_far[nodes] |= has_far[tree.parents[nodes]]
-    anchors, sizes = _node_boxes(tree)
+    anchors, sizes = node_boxes(tree)
     n_nodes = tree.n_nodes
     ranks = np.zeros(n_nodes, dtype=np.int32)
     tails = np.zeros(n_nodes, dtype=np.float64)

@@ -1,13 +1,22 @@
-"""Binary container for compressed matrices, format version 2.
+"""Binary container for compressed matrices, format version 3.
 
 Layout (little-endian; see the README): magic b"H2FM", u32 version, u64
 header length, a JSON header (kernel, tolerances, sizes) space-padded so
 the arrays start 8-byte aligned, then the arrays of :func:`_layout`, raw
 and back to back.  The header fixes every array's dtype and length, so a
-truncated file, trailing bytes or another version raise
-:class:`ContainerError`.  The packed shape groups are rebuilt from the
-tree, block partition and ranks, which must imply the stored data
-lengths.  A read-back reproduces the matrix bit for bit.
+truncated file, trailing bytes or another version (1 and 2 included)
+raise :class:`ContainerError`.
+
+The octree is not stored.  The particles are, in the order the tree was
+built from, and the reader rebuilds the tree with :func:`build_tree`
+(then :func:`balance_2to1` when ``balanced``), warning again about
+coincident particles past level 21.  A position that is not finite or
+outside [0, 1)^3, a repeated particle index, a ``leaf_capacity`` that is
+not an integer >= 1, a ``balanced`` that is not a bool, and a node count
+other than the rebuilt tree's are rejected; so are ranks and block ids
+that do not fit the rebuilt tree.  The packed shape groups are rebuilt
+from the tree, block partition and ranks, which must imply the stored
+data lengths.  A read-back reproduces the matrix bit for bit.
 """
 from __future__ import annotations
 
@@ -23,16 +32,12 @@ from .errors import ContainerError
 from .geometry import ParticleSet
 from .h2 import BasisTree, BlockTree, H2Matrix, _storage
 from .kernels import KernelSpec
-from .tree import Octree
+from .tree import balance_2to1, build_tree
 
 MAGIC = b"H2FM"
-VERSION = 2
+VERSION = 3
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 
-_TREE = (
-    "order", "keys21", "keys", "starts", "counts", "level_ptr",
-    "parents", "child_start", "levels", "child_count", "is_leaf",
-)
 _BLOCKS = ("lr_row", "lr_col", "dense_row", "dense_col")
 _PACKED = ("basis", "coupling", "dense")
 
@@ -47,12 +52,6 @@ def _layout(h):
         ("positions", "<f8", (n, 3)),
         ("charges", "<f8", (n,)),
         ("indices", "<i8", (n,)),
-        ("order", "<i8", (n,)),
-        ("keys21", "<u8", (n,)),
-        ("keys", "<u8", (nodes,)),
-        ("starts", "<i8", (nodes,)),
-        ("counts", "<i8", (nodes,)),
-        ("level_ptr", "<i8", (h["n_levels"] + 1,)),
         ("tails", "<f8", (nodes,)),
         ("lr_row", "<i8", (lr,)),
         ("lr_col", "<i8", (lr,)),
@@ -62,11 +61,6 @@ def _layout(h):
         ("coupling", "<f8", (h["coupling_size"],)),
         ("dense", "<f8", (h["dense_size"],)),
         ("ranks", "<i4", (nodes,)),
-        ("parents", "<i4", (nodes,)),
-        ("child_start", "<i4", (nodes,)),
-        ("levels", "|i1", (nodes,)),
-        ("child_count", "|i1", (nodes,)),
-        ("is_leaf", "|b1", (nodes,)),
     ]
 
 
@@ -81,17 +75,15 @@ def save_h2(h2: H2Matrix, path) -> None:
         "max_rank": h2.max_rank,
         "n": tree.n_particles,
         "n_nodes": tree.n_nodes,
-        "n_levels": len(tree.level_ptr) - 1,
         "leaf_capacity": tree.leaf_capacity,
         "balanced": tree.balanced,
         "n_lowrank": blocks.n_lowrank,
         "n_dense": blocks.n_dense,
         **{name + "_size": p.data.size for name, p in zip(_PACKED, packed)},
     }
-    arrays = {name: getattr(tree, name) for name in _TREE}
-    arrays.update({name: getattr(blocks, name) for name in _BLOCKS})
+    arrays = {name: getattr(blocks, name) for name in _BLOCKS}
     arrays.update({name: p.data for name, p in zip(_PACKED, packed)})
-    particles = tree.particles
+    particles = tree.particles.take(np.argsort(tree.order))  # as build_tree received them
     arrays.update(positions=particles.positions, charges=particles.charges,
                   indices=particles.indices, ranks=h2.row_basis.ranks, tails=h2.row_basis.tails)
     blob = json.dumps(header).encode()
@@ -130,6 +122,7 @@ def decode(buf) -> H2Matrix:
         header = json.loads(bytes(buf[_PREFIX.size : pos]))
         layout = _layout(header)
         eps, eta, max_rank = header["eps"], header["eta"], header["max_rank"]
+        capacity, balanced = header["leaf_capacity"], header["balanced"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ContainerError(f"malformed container header: {exc!r}") from None
     dims = [d for _, _, shape in layout for d in shape]
@@ -142,18 +135,21 @@ def decode(buf) -> H2Matrix:
         arrays[name] = np.frombuffer(buf, dtype, count, pos).reshape(shape)
         pos = end
     _require(pos == len(buf), f"{len(buf) - pos} trailing bytes after the last array")
-    ranks, counts = arrays["ranks"], arrays["counts"]
-    _require(((ranks >= 0) & (ranks <= counts)).all(), "ranks out of range")
-    ids = np.concatenate([arrays[name] for name in _BLOCKS])
-    _require(((ids >= 0) & (ids < len(counts))).all(), "block node ids out of range")
+    _require(type(capacity) is int, f"leaf_capacity must be an integer, got {capacity!r}")
+    _require(type(balanced) is bool, f"balanced must be true or false, got {balanced!r}")
     try:
         kernel = KernelSpec(**header["kernel"])
-        tree = Octree(
-            particles=ParticleSet(arrays["positions"], arrays["indices"], arrays["charges"]),
-            leaf_capacity=header["leaf_capacity"],
-            balanced=header["balanced"],
-            **{name: arrays[name] for name in _TREE},
-        )
+        particles = ParticleSet(arrays["positions"], arrays["indices"], arrays["charges"])
+        tree = build_tree(particles, capacity)
+        tree = balance_2to1(tree) if balanced else tree
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContainerError(f"inconsistent container: {exc}") from None
+    nodes, ranks = header["n_nodes"], arrays["ranks"]
+    _require(nodes == tree.n_nodes, f"header holds {nodes} nodes; the particles build {tree.n_nodes}")
+    _require(((ranks >= 0) & (ranks <= tree.counts)).all(), "ranks out of range")
+    ids = np.concatenate([arrays[name] for name in _BLOCKS])
+    _require(((ids >= 0) & (ids < nodes)).all(), "block node ids out of range")
+    try:
         blocks = BlockTree(*(arrays[name] for name in _BLOCKS))
         packed = _storage(tree, blocks, ranks)
     except (ValueError, KeyError, TypeError, IndexError) as exc:

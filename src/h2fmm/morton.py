@@ -91,7 +91,7 @@ def points_to_keys(positions, level: int):
     """
     _check_level(level)
     p = np.asarray(positions, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p >= 1.0):
+    if not ((p >= 0.0) & (p < 1.0)).all():  # NaN fails both tests
         raise ValueError("positions must lie in the half-open unit cube [0,1)^3")
     side = 1 << level
     cells = np.minimum((p * side).astype(np.int64), side - 1)

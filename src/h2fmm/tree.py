@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,17 +82,9 @@ class Octree:
     child_count: np.ndarray
     is_leaf: np.ndarray
     level_ptr: np.ndarray
-    balanced: bool = False
-    leaf_ids: np.ndarray = field(default=None)
-    leaf_start21: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.leaf_ids is None:
-            ids = np.flatnonzero(self.is_leaf).astype(np.int32)
-            start21 = self.keys[ids] << (_U(3) * (_U(MAX_LEVEL) - self.levels[ids].astype(np.uint64)))
-            order = np.argsort(start21, kind="stable")
-            self.leaf_ids = ids[order]
-            self.leaf_start21 = start21[order]
+    balanced: bool
+    leaf_ids: np.ndarray
+    leaf_start21: np.ndarray
 
     @property
     def n_particles(self) -> int:
@@ -116,6 +108,11 @@ class Octree:
 
     def level_nodes(self, level: int) -> np.ndarray:
         return np.arange(self.level_ptr[level], self.level_ptr[level + 1], dtype=np.int64)
+
+
+def _start21(keys, levels):
+    """First level-21 key of each cell ``keys`` at ``levels``."""
+    return keys << (_U(3) * (_U(MAX_LEVEL) - levels.astype(np.uint64)))
 
 
 def _split_cells(k21, starts, counts, level):
@@ -165,7 +162,7 @@ def _compute_leaves(k21, n, leaf_capacity):
 
 
 def _assemble(particles, order, k21, leaf_capacity, lkeys, llevels, lstarts, lcounts, balanced):
-    """Build the full node-array tree from a disjoint leaf set."""
+    """Every Octree's maker: the node arrays over a disjoint leaf set, given in any order."""
     depth = int(llevels.max())
     # Per-level node tables, deepest first; each entry (keys, starts, counts, is_leaf).
     by_level = {}
@@ -216,6 +213,9 @@ def _assemble(particles, order, k21, leaf_capacity, lkeys, llevels, lstarts, lco
         cnt = np.diff(np.append(first, chi - clo))
         child_start[lo + pos[first]] = (clo + first).astype(np.int32)
         child_count[lo + pos[first]] = cnt.astype(np.int8)
+    leaf_ids = np.flatnonzero(is_leaf).astype(np.int32)
+    leaf_start21 = _start21(keys[leaf_ids], levels[leaf_ids])
+    srt = np.argsort(leaf_start21, kind="stable")
     return Octree(
         particles=particles,
         order=order,
@@ -231,6 +231,8 @@ def _assemble(particles, order, k21, leaf_capacity, lkeys, llevels, lstarts, lco
         is_leaf=is_leaf,
         level_ptr=level_ptr,
         balanced=balanced,
+        leaf_ids=leaf_ids[srt],
+        leaf_start21=leaf_start21[srt],
     )
 
 
@@ -265,10 +267,6 @@ def build_tree(particles: ParticleSet, leaf_capacity: int = DEFAULT_LEAF_CAPACIT
     )
 
 
-def _leaf_anchor_coords(start21):
-    return decode_cells(start21, MAX_LEVEL)
-
-
 def _mark_for_balance(tree: Octree):
     """Flag leaves (leaf-table positions) at least two levels coarser than an adjacent leaf.
 
@@ -288,28 +286,16 @@ def _mark_for_balance(tree: Octree):
 
 
 def _split_marked(k21, lkeys, llevels, lstarts, lcounts, mark):
-    """Replace marked leaves by their nonempty children."""
+    """Replace marked leaves by their nonempty children (in no set order)."""
     keep = ~mark
-    out_keys = [lkeys[keep]]
-    out_levels = [llevels[keep]]
-    out_starts = [lstarts[keep]]
-    out_counts = [lcounts[keep]]
+    out = [(lkeys[keep], llevels[keep], lstarts[keep], lcounts[keep])]
     for level in sorted_unique(llevels[mark]):
         if level >= MAX_LEVEL:
             raise PrecisionLimitError("2:1 refinement would exceed the maximum level")
         sel = mark & (llevels == level)
         keys, starts, counts = _split_cells(k21, lstarts[sel], lcounts[sel], level)
-        out_keys.append(keys)
-        out_levels.append(np.full(len(keys), level + 1, dtype=np.int8))
-        out_starts.append(starts)
-        out_counts.append(counts)
-    keys = np.concatenate(out_keys)
-    levels = np.concatenate(out_levels)
-    starts = np.concatenate(out_starts)
-    counts = np.concatenate(out_counts)
-    start21 = keys << (_U(3) * (_U(MAX_LEVEL) - levels.astype(np.uint64)))
-    order = np.argsort(start21, kind="stable")
-    return keys[order], levels[order], starts[order], counts[order]
+        out.append((keys, np.full(len(keys), level + 1, dtype=np.int8), starts, counts))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def balance_2to1(tree: Octree) -> Octree:
@@ -390,6 +376,20 @@ class CellLocator:
         return node
 
 
+def node_boxes(tree: Octree):
+    """Each node's anchor, an (n_nodes, 3) int64 array, and edge on the level-21 grid."""
+    anchors = decode_cells(_start21(tree.keys, tree.levels), MAX_LEVEL)
+    return anchors, np.int64(1) << (MAX_LEVEL - tree.levels.astype(np.int64))
+
+
+def node_leaves(tree: Octree):
+    """``(first, count)``: node n's leaves are leaf-table positions
+    ``first[n]:first[n] + count[n]``, the table being in Morton order."""
+    first = np.searchsorted(tree.leaf_start21, _start21(tree.keys, tree.levels))
+    end = np.searchsorted(tree.leaf_start21, _start21(tree.keys + _U(1), tree.levels))
+    return first, end - first
+
+
 def _level_pairs(loc: CellLocator, level: int, radius: int, sources=None):
     """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius`` <= 2.
 
@@ -428,14 +428,12 @@ def leaf_adjacency_pairs(tree: Octree, query=None):
         query = sorted_unique(np.asarray(query, dtype=np.int64))
     loc = CellLocator(tree)
     levels = tree.levels[tree.leaf_ids].astype(np.int64)
-    anchor = _leaf_anchor_coords(tree.leaf_start21)
-    far = anchor + (np.int64(1) << (MAX_LEVEL - levels))[:, None]
+    anchors, sizes = node_boxes(tree)
+    anchor = anchors[tree.leaf_ids]
+    far = anchor + sizes[tree.leaf_ids, None]
     leaf_pos = np.full(tree.n_nodes + 1, -1, dtype=np.int64)  # [-1]: the empty cell
     leaf_pos[tree.leaf_ids] = np.arange(n_leaves)
-    # A node's leaves are one range of the Morton-ordered leaf table.
-    shift = _U(3) * (_U(MAX_LEVEL) - tree.levels.astype(np.uint64))
-    first = np.searchsorted(tree.leaf_start21, tree.keys << shift)
-    count = np.searchsorted(tree.leaf_start21, (tree.keys + _U(1)) << shift) - first
+    first, count = node_leaves(tree)
     pair_q, pair_m = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for level in sorted_unique(levels[query]).tolist():
         qs = query[levels[query] == level]

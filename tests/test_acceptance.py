@@ -331,20 +331,22 @@ def test_criterion_10_phase_decomposition(property_h2):
 
 
 def test_criterion_10_nesting_identity():
-    from h2fmm.h2 import _far_partners, _kernel_rows
+    from h2_views import explicit_bases, far_partners
+    from h2fmm.h2 import _kernel_rows
     from h2fmm.tree import _ranges_concat
 
     eps = 1e-4
     ps = generate(DistributionSpec("random-cube", 512, seed=1))
     tree = build_tree(ps, 16)
     h2 = compress(tree, LAPLACE, eps=eps)
-    partners = _far_partners(tree, h2.blocks)
+    partners = far_partners(tree, h2.blocks)
+    bases = explicit_bases(tree, h2.row_basis)
     pos = tree.particles.positions
     worst = 0.0
     for node in range(tree.n_nodes):
         if tree.is_leaf[node] or not partners[node]:
             continue
-        u = h2.row_basis.explicit_basis(tree, node)
+        u = bases[node]
         s0, c0 = int(tree.starts[node]), int(tree.counts[node])
         cols = _ranges_concat(tree.starts[partners[node]], tree.counts[partners[node]])
         r = _kernel_rows(LAPLACE, pos[s0 : s0 + c0], pos[cols])

@@ -334,6 +334,14 @@ def test_unwritable_output_path_rejected(compressed, tmp_path, capsys, name, fla
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("name", ["gen", "compress", "matvec", "commsim"])
+def test_no_partial_output_when_a_later_path_fails(compressed, tmp_path, capsys, name):
+    out, summary = tmp_path / "out", tmp_path / "missing" / "s.json"
+    assert run(_command(name, compressed) + ["--out", str(out), "--summary", str(summary)]) == 2
+    assert _usage_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compress_from_particle_file(tmp_path):
     particles = tmp_path / "p.bin"
     run(["gen", "--dist", "plummer", "--n", "300", "--seed", "4", "--out", str(particles), "--format", "bin"])

@@ -8,7 +8,6 @@ from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, generate
 from h2fmm.h2 import (
     _admissible,
-    _far_partners,
     build_block_tree,
     compress,
     coupling,
@@ -22,6 +21,7 @@ from h2fmm.h2 import (
 from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block
 from h2fmm.morton import MAX_LEVEL
 from h2fmm.tree import _ranges_concat, balance_2to1, build_tree
+from h2_views import explicit_bases, far_partners
 
 LAPLACE = KernelSpec("laplace3d", regularization=1e-2)
 
@@ -106,9 +106,10 @@ def test_ones_kernel_rank_one_exact(tree512):
     used = np.unique(m.blocks.lr_row)
     assert (m.row_basis.ranks[used] == 1).all()
     t = tree512
+    u = explicit_bases(t, m.row_basis)
     for i, j, s in lowrank_blocks(m):
-        ui = m.row_basis.explicit_basis(t, i)
-        vj = m.row_basis.explicit_basis(t, j)
+        ui = u[i]
+        vj = u[j]
         rebuilt = ui @ s @ vj.T
         assert np.abs(rebuilt - 1.0).max() < 1e-12
 
@@ -126,9 +127,10 @@ def test_per_block_reconstruction_vs_oracle(h2_512, tree512):
     t = tree512
     m = h2_512
     worst = 0.0
+    u = explicit_bases(t, m.row_basis)
     for i, j, s in lowrank_blocks(m):
-        ui = m.row_basis.explicit_basis(t, i)
-        vj = m.row_basis.explicit_basis(t, j)
+        ui = u[i]
+        vj = u[j]
         si, ci = int(t.starts[i]), int(t.counts[i])
         sj, cj = int(t.starts[j]), int(t.counts[j])
         blk = a[si : si + ci, sj : sj + cj]
@@ -218,8 +220,9 @@ def test_upsweep_matches_explicit_bases(h2_512):
     x = rng.standard_normal(h2_512.n)
     xhat = upsweep(h2_512, x)
     xs = x[t.order]
+    bases = explicit_bases(t, h2_512.row_basis)
     for node in range(t.n_nodes):
-        v = h2_512.row_basis.explicit_basis(t, node)
+        v = bases[node]
         s, c = int(t.starts[node]), int(t.counts[node])
         direct = v.T @ xs[s : s + c]
         assert np.allclose(node_slot(h2_512, xhat, node), direct, atol=1e-10)
@@ -232,7 +235,7 @@ def test_upsweep_single_leaf_direct():
     m = compress(t, LAPLACE, eps=1e-4)
     x = np.arange(12, dtype=float)
     xhat = upsweep(m, x)
-    v = m.row_basis.explicit_basis(t, 0)
+    v = explicit_bases(t, m.row_basis)[0]
     assert np.array_equal(node_slot(m, xhat, 0), v.T @ x[t.order])
     assert all(not v.size or True for v in xhat)
     y = matvec(m, x)
@@ -283,9 +286,10 @@ def test_dense_and_downsweep_match_per_block_loops(h2_512):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     yhat = rng.standard_normal(int(m.row_basis.offsets[-1]))
     ref = np.zeros(m.n)
+    bases = explicit_bases(t, m.row_basis)
     for node in range(t.n_nodes):
         s, c = int(t.starts[node]), int(t.counts[node])
-        ref[s : s + c] += m.row_basis.explicit_basis(t, node) @ node_slot(m, yhat, node)
+        ref[s : s + c] += bases[node] @ node_slot(m, yhat, node)
     got = downsweep(m, yhat)[t.order]
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -293,18 +297,19 @@ def test_dense_and_downsweep_match_per_block_loops(h2_512):
 def test_nesting_identity_per_node(tree512):
     # The transfer-assembled interior basis reproduces each far block to
     # the compression tolerance.
-    from h2fmm.h2 import _far_partners, _kernel_rows
+    from h2fmm.h2 import _kernel_rows
     from h2fmm.tree import _ranges_concat
 
     eps = 1e-4
     m = compress(tree512, LAPLACE, eps=eps)
     t = tree512
-    partners = _far_partners(t, m.blocks)
+    partners = far_partners(t, m.blocks)
+    bases = explicit_bases(t, m.row_basis)
     pos = t.particles.positions
     for node in range(t.n_nodes):
         if t.is_leaf[node] or not partners[node]:
             continue
-        u = m.row_basis.explicit_basis(t, node)
+        u = bases[node]
         assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-10
         s0, c0 = int(t.starts[node]), int(t.counts[node])
         col_idx = _ranges_concat(t.starts[partners[node]], t.counts[partners[node]])
@@ -319,8 +324,9 @@ def test_nesting_identity_per_node(tree512):
 
 def test_leaf_bases_orthonormal(h2_512):
     t = h2_512.octree
+    bases = explicit_bases(t, h2_512.row_basis)
     for leaf in np.flatnonzero(t.is_leaf):
-        u = h2_512.row_basis.explicit_basis(t, leaf)
+        u = bases[leaf]
         if u.size:
             assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-12
 
@@ -424,10 +430,11 @@ def assert_per_block_contract(t, kernel, eps):
     m = compress(t, kernel, eps=eps)
     a = dense_matrix(t.particles, kernel)
     nest = 0.0
-    for node, partners in enumerate(_far_partners(t, m.blocks)):
+    bases = explicit_bases(t, m.row_basis)
+    for node, partners in enumerate(far_partners(t, m.blocks)):
         if not partners:
             continue
-        u = m.row_basis.explicit_basis(t, node)
+        u = bases[node]
         s0, c0 = int(t.starts[node]), int(t.counts[node])
         r = a[s0 : s0 + c0][:, _ranges_concat(t.starts[partners], t.counts[partners])]
         resid = r - u @ (u.T @ r)
@@ -437,8 +444,8 @@ def assert_per_block_contract(t, kernel, eps):
     assert nest <= 3 * eps
     worst = 0.0
     for i, j, s in lowrank_blocks(m):
-        ui = m.row_basis.explicit_basis(t, i)
-        uj = m.row_basis.explicit_basis(t, j)
+        ui = bases[i]
+        uj = bases[j]
         blk = a[t.starts[i] : t.starts[i] + t.counts[i], t.starts[j] : t.starts[j] + t.counts[j]]
         worst = max(worst, np.linalg.norm(ui @ s @ uj.T - blk) / np.linalg.norm(blk))
     assert worst <= 10 * eps

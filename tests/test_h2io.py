@@ -1,12 +1,16 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from h2fmm.cli import main
 from h2fmm.errors import ContainerError
 from h2fmm.geometry import DistributionSpec, generate
 from h2fmm.h2 import compress, matvec, storage_report
-from h2fmm.h2io import decode, load_h2, save_h2
+from h2fmm.h2io import _PREFIX, _layout, decode, load_h2, save_h2
 from h2fmm.kernels import KernelSpec
 from h2fmm.tree import build_tree
 
@@ -71,11 +75,22 @@ def test_magic_and_version_checks(small_h2, tmp_path):
         load_h2(bad2)
 
 
-def test_version_1_rejected(tiny_container):
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_1_rejected(tiny_container, version):
     raw = bytearray(tiny_container)
-    raw[4:8] = (1).to_bytes(4, "little")
-    with pytest.raises(ContainerError, match="version 1"):
+    raw[4:8] = version.to_bytes(4, "little")
+    with pytest.raises(ContainerError, match=f"version {version}"):
         decode(raw)
+
+
+def _header(raw):
+    return json.loads(raw[_PREFIX.size : _PREFIX.size + _PREFIX.unpack_from(raw)[2]])
+
+
+def test_container_stores_particles_not_the_tree(tiny_container):
+    names = [name for name, _, _ in _layout(_header(tiny_container))]
+    assert len(names) == 12 and "positions" in names
+    assert not {"order", "keys21", "keys", "parents", "is_leaf"} & set(names)
 
 
 def test_truncation_at_every_offset_rejected(tiny_container):
@@ -122,3 +137,69 @@ def test_save_load_save_byte_identical(tmp_path_factory, dist, n, seed, kernel, 
     assert _resave(back, directory) == raw
     x = np.random.default_rng(seed).standard_normal(n)
     assert np.array_equal(matvec(back, x), matvec(m, x))
+
+
+def _rewrite(raw, header=lambda head: {}, **arrays):
+    """Container bytes with header fields and arrays edited, the framing kept valid.
+
+    ``header`` maps the old header to the fields to replace; each array
+    keyword maps the old array to the new one.
+    """
+    magic, version, hlen = _PREFIX.unpack_from(raw)
+    head, pos = _header(raw), _PREFIX.size + hlen
+    held = {}
+    for name, dtype, shape in _layout(head):
+        held[name] = np.frombuffer(raw, dtype, math.prod(shape), pos).reshape(shape).copy()
+        pos += held[name].nbytes
+    head.update(header(head))
+    held.update({name: edit(held[name]) for name, edit in arrays.items()})
+    blob = json.dumps(head).encode()
+    blob += b" " * (-(_PREFIX.size + len(blob)) % 8)
+    out = _PREFIX.pack(magic, version, len(blob)) + blob
+    return out + b"".join(np.ascontiguousarray(held[n], t).tobytes() for n, t, _ in _layout(head))
+
+
+def _set(index, value):
+    def edit(a):
+        a[index] = value
+        return a
+
+    return edit
+
+
+def _grow(a):
+    return np.append(a, a[:1])
+
+
+CORRUPT = {
+    "nan-position": dict(positions=_set((0, 1), np.nan)),
+    "position-at-1": dict(positions=_set((0, 0), 1.0)),
+    "negative-position": dict(positions=_set((3, 2), -0.25)),
+    "repeated-index": dict(indices=_set(1, 0)),
+    "leaf-capacity-0": dict(header=lambda head: {"leaf_capacity": 0}),
+    "leaf-capacity-16.5": dict(header=lambda head: {"leaf_capacity": 16.5}),
+    "leaf-capacity-str": dict(header=lambda head: {"leaf_capacity": "16"}),
+    "balanced-int": dict(header=lambda head: {"balanced": 1}),
+    "balanced-str": dict(header=lambda head: {"balanced": "false"}),
+    "extra-node": dict(header=lambda head: {"n_nodes": head["n_nodes"] + 1}, ranks=_grow, tails=_grow),
+}
+
+
+def test_rewrite_unchanged_is_identity(tiny_container):
+    assert _rewrite(tiny_container) == tiny_container
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT))
+def test_corrupt_particles_and_header_rejected(tiny_container, case):
+    with pytest.raises(ContainerError):
+        decode(bytearray(_rewrite(tiny_container, **CORRUPT[case])))
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT))
+def test_matvec_on_corrupt_container_exits_2(tiny_container, tmp_path, capsys, case):
+    path = tmp_path / "bad.h2"
+    path.write_bytes(_rewrite(tiny_container, **CORRUPT[case]))
+    assert main(["matvec", "--matrix", str(path), "--summary", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "s.json").exists()

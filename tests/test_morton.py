@@ -65,6 +65,12 @@ def test_point_to_key_halfopen_boundary():
     assert decode_one(keys[0], 1) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.25, 1.0])
+def test_point_outside_unit_cube_rejected(bad):
+    with pytest.raises(ValueError, match="half-open"):
+        points_to_keys(np.array([[0.5, bad, 0.5]]), 3)
+
+
 def test_point_containment_random():
     rng = np.random.default_rng(7)
     pts = rng.random((10_000, 3))

@@ -36,10 +36,8 @@ def lattice_particles(level, per_cell):
 
 def brute_adjacent_pairs(tree):
     """O(L^2) closed-box contact oracle, independent of the fast path."""
-    from h2fmm.tree import _leaf_anchor_coords
-
     ids = tree.leaf_ids
-    lo = _leaf_anchor_coords(tree.leaf_start21)
+    lo = decode_cells(tree.leaf_start21, MAX_LEVEL)
     size = np.int64(1) << (MAX_LEVEL - tree.levels[ids].astype(np.int64))
     hi = lo + size[:, None]
     pairs = set()
