@@ -26,6 +26,7 @@ from .morton import (
 )
 from .tree import (
     DEFAULT_LEAF_CAPACITY,
+    CellLocator,
     Octree,
     balance_2to1,
     build_tree,

@@ -206,6 +206,8 @@ def cmd_matvec(args) -> int:
     t0 = time.time()
     y = matvec(h2, x)
     t_mv = time.time() - t0
+    if not np.isfinite(y).all():
+        raise ContainerError(f"matrix {args.matrix} gives a non-finite product")
     report = {
         "config": {
             "matrix": args.matrix,

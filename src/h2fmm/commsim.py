@@ -14,6 +14,7 @@ Counts are in cell units: one cell is one multipole/basis payload.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +24,6 @@ from .errors import ConfigurationError, PartitionError
 from .geometry import DistributionSpec, generate
 from .morton import MAX_LEVEL, decode_cells, encode_cells
 from .tree import (
-    _OFFSETS,
     CellLocator,
     Octree,
     _level_pairs,
@@ -40,6 +40,9 @@ _U = np.uint64
 
 PHASES = ("global-m2m", "global-m2l", "local-m2l", "local-p2p")
 MODES = ("periodic", "truncated")
+
+# The 26 unit offsets of the face/edge/corner neighborhood.
+_OFFSETS = np.array([off for off in itertools.product((-1, 0, 1), repeat=3) if any(off)], np.int64)
 
 # ---------------------------------------------------------------------------
 # Partition and global/local split
@@ -527,11 +530,12 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
 def sim_local_p2p(split: GlobalLocalSplit) -> PhaseResult:
     """Adjacent-leaf halo across process boundaries (one cell wide).
 
-    Only leaves that are not interior at radius 1 are queried.
+    Only pairs of leaves that are not interior at radius 1 are found: two
+    touching leaves with different owners each lie in the other's window.
     """
     tree = split.tree
-    query = np.flatnonzero(~_interior(split, 1)[tree.leaf_ids])
-    q, m = leaf_adjacency_pairs(tree, query=query)
+    among = np.flatnonzero(~_interior(split, 1)[tree.leaf_ids])
+    q, m = leaf_adjacency_pairs(split.locator, among=among)
     procs = split.partition.leaf_process[q].astype(np.int64)
     needs = _remote(split, procs, tree.leaf_ids[m].astype(np.int64))
     return _accumulate_phase(split, "local-p2p", [(0, *needs)])
@@ -550,7 +554,7 @@ def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     for level in range(1, tree.depth + 1):
         src, dst = _level_pairs(split.locator, level, radius=2)
         needs.append(_remote(split, *_owner_needs(split, src, dst)))
-    q, m = leaf_adjacency_pairs(tree)
+    q, m = leaf_adjacency_pairs(split.locator)
     procs = split.partition.leaf_process[q].astype(np.int64)
     needs.append(_remote(split, procs, tree.leaf_ids[m].astype(np.int64)))
     procs, cells = (np.concatenate(a) for a in zip(*needs))

@@ -188,7 +188,8 @@ def load_csv(path) -> ParticleSet:
             if sorted(names) != sorted(_RECORD_DTYPE.names):
                 raise ValueError("the header must name the columns index,x,y,z,charge")
             dtype = np.dtype([(name, _RECORD_DTYPE[name]) for name in names])
-            with warnings.catch_warnings(action="ignore"):  # no rows: rejected below
+            with warnings.catch_warnings():  # no rows: rejected below
+                warnings.simplefilter("ignore")
                 records = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read particle file {path}: {exc}") from None

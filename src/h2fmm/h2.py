@@ -37,6 +37,7 @@ bases and blocks, so its format does not depend on how they were built.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -518,6 +519,28 @@ def _fill_coupling(packed, kernel, skel, gmat, ranks):
             out[lo : lo + step] = np.matmul(np.matmul(gs[ri][i], k), gs[rj][j].transpose(0, 2, 1))
 
 
+def check_parameters(kernel: KernelSpec, eps, eta, max_rank) -> None:
+    """Raise ConfigurationError unless eps is a real in (0, 1), eta a finite
+    real > 0, max_rank None or an integer >= 1 (a bool is none of these),
+    and the kernel is finite on the diagonal."""
+    def real(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    if not (real(eps) and 0.0 < eps < 1.0):
+        raise ConfigurationError(f"eps must be in (0, 1), got {eps!r}")
+    if not (real(eta) and math.isfinite(eta) and eta > 0.0):
+        raise ConfigurationError(f"eta must be finite and > 0, got {eta!r}")
+    if max_rank is not None and not (
+        isinstance(max_rank, numbers.Integral) and real(max_rank) and max_rank >= 1
+    ):
+        raise ConfigurationError(f"max_rank must be None or an integer >= 1, got {max_rank!r}")
+    if kernel.kind in ("laplace3d", "laplace2d") and kernel.regularization == 0.0:
+        raise ConfigurationError(
+            f"{kernel.kind} with regularization 0 is infinite on the diagonal; "
+            "give a delta > 0"
+        )
+
+
 def compress(
     tree: Octree,
     kernel: KernelSpec,
@@ -554,20 +577,11 @@ def compress(
     Raises
     ------
     ConfigurationError
-        For an eps, max_rank or eta out of range, or a singular kernel
-        without regularization.
+        For an eps, max_rank or eta of the wrong type or out of range,
+        or a singular kernel without regularization
+        (:func:`check_parameters`).
     """
-    if not 0.0 < eps < 1.0:
-        raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
-    if max_rank is not None and max_rank < 1:
-        raise ConfigurationError(f"max_rank must be >= 1, got {max_rank}")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ConfigurationError(f"eta must be finite and > 0, got {eta}")
-    if kernel.kind in ("laplace3d", "laplace2d") and kernel.regularization == 0.0:
-        raise ConfigurationError(
-            f"{kernel.kind} with regularization 0 is infinite on the diagonal; "
-            "give a delta > 0"
-        )
+    check_parameters(kernel, eps, eta, max_rank)
     blocks = build_block_tree(tree, eta)
     ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, max_rank, blocks, eta)
     basis, pairs, dense = _storage(tree, blocks, ranks)

@@ -12,11 +12,15 @@ built from, and the reader rebuilds the tree with :func:`build_tree`
 (then :func:`balance_2to1` when ``balanced``), warning again about
 coincident particles past level 21.  A position that is not finite or
 outside [0, 1)^3, a repeated particle index, a ``leaf_capacity`` that is
-not an integer >= 1, a ``balanced`` that is not a bool, and a node count
-other than the rebuilt tree's are rejected; so are ranks and block ids
-that do not fit the rebuilt tree.  The packed shape groups are rebuilt
-from the tree, block partition and ranks, which must imply the stored
-data lengths.  A read-back reproduces the matrix bit for bit.
+not an integer >= 1, a ``balanced`` that is not a bool, a kernel,
+``eps``, ``eta`` or ``max_rank`` that :func:`compress` would refuse, a
+tail that is not finite or below 0, and a node count other than the
+rebuilt tree's are rejected; so are ranks and block ids that do not fit
+the rebuilt tree.  The packed basis, coupling and dense data are not
+scanned; ``h2fmm matvec`` rejects a product that is not finite.  The
+packed shape groups are rebuilt from the tree, block partition and
+ranks, which must imply the stored data lengths.  A read-back
+reproduces the matrix bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import ContainerError
 from .geometry import ParticleSet
-from .h2 import BasisTree, BlockTree, H2Matrix, _storage
+from .h2 import BasisTree, BlockTree, H2Matrix, _storage, check_parameters
 from .kernels import KernelSpec
 from .tree import balance_2to1, build_tree
 
@@ -137,8 +141,11 @@ def decode(buf) -> H2Matrix:
     _require(pos == len(buf), f"{len(buf) - pos} trailing bytes after the last array")
     _require(type(capacity) is int, f"leaf_capacity must be an integer, got {capacity!r}")
     _require(type(balanced) is bool, f"balanced must be true or false, got {balanced!r}")
+    tails = arrays["tails"]
+    _require(np.isfinite(tails).all() and (tails >= 0).all(), "tails must be finite and >= 0")
     try:
         kernel = KernelSpec(**header["kernel"])
+        check_parameters(kernel, eps, eta, max_rank)
         particles = ParticleSet(arrays["positions"], arrays["indices"], arrays["charges"])
         tree = build_tree(particles, capacity)
         tree = balance_2to1(tree) if balanced else tree
@@ -167,6 +174,6 @@ def decode(buf) -> H2Matrix:
         eps=eps,
         eta=eta,
         max_rank=max_rank,
-        row_basis=BasisTree(ranks=ranks, tails=arrays["tails"], mats=packed[0]),
+        row_basis=BasisTree(ranks=ranks, tails=tails, mats=packed[0]),
         blocks=blocks,
     )

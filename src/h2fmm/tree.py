@@ -21,18 +21,6 @@ DEFAULT_LEAF_CAPACITY = 16
 
 _U = np.uint64
 
-# The 26 unit offsets of the face/edge/corner neighborhood.
-_OFFSETS = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-    ],
-    dtype=np.int64,
-)
-
 
 def _ranges_concat(starts, counts):
     """Concatenate [s, s+c) ranges into one index vector without a loop."""
@@ -277,10 +265,7 @@ def _mark_for_balance(tree: Octree):
     levels = tree.levels[tree.leaf_ids]
     mark = np.zeros(tree.n_nodes + 1, dtype=bool)  # [-1] absorbs the empty cell
     for level in range(2, tree.depth + 1):
-        ids = tree.leaf_ids[levels == level]
-        moved = [{d: c + d for d in (-1, 0, 1)} for c in decode_cells(tree.keys[ids], level).T]
-        for off in _OFFSETS.tolist():
-            node = loc.locate(level, [ax[d] for ax, d in zip(moved, off)])
+        for node in loc.neighbours(level, tree.leaf_ids[levels == level], 1):
             mark[node[loc.levels[node] <= level - 2]] = True
     return mark[tree.leaf_ids]
 
@@ -338,7 +323,8 @@ class CellLocator:
     ``(n_nodes + 1, 2, 2, 2)`` child table, one gather per level.  Tables
     end in two -1 slabs per axis, so cells up to two off the grid read -1.
     ``top`` is the deepest level with at most 2^21 cells and 64 per node.
-    Nothing is cached on the tree: callers build one per use.
+    Nothing is cached on the tree: a commsim run builds one for all its
+    phases, and each balance sweep one for its tree.
     """
 
     def __init__(self, tree: Octree):
@@ -375,6 +361,17 @@ class CellLocator:
             node = self.child[node, (x >> shift) & 1, (y >> shift) & 1, (z >> shift) & 1]
         return node
 
+    def neighbours(self, level: int, nodes, radius: int):
+        """Per nonzero offset within Chebyshev ``radius`` <= 2, in
+        ``itertools.product`` order, yield ``locate`` of the cells of the
+        level-``level`` ``nodes`` moved by that offset."""
+        shifts = range(-radius, radius + 1)
+        # moved[axis][d]: the coordinate moved by d; off-grid cells read -1.
+        moved = [{d: c + d for d in shifts} for c in decode_cells(self.tree.keys[nodes], level).T]
+        for off in itertools.product(shifts, repeat=3):
+            if any(off):
+                yield self.locate(level, [ax[d] for ax, d in zip(moved, off)])
+
 
 def node_boxes(tree: Octree):
     """Each node's anchor, an (n_nodes, 3) int64 array, and edge on the level-21 grid."""
@@ -401,65 +398,50 @@ def _level_pairs(loc: CellLocator, level: int, radius: int, sources=None):
     ids = lo + (np.arange(hi - lo) if sources is None else np.flatnonzero(sources[lo:hi]))
     if not len(ids):
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    shifts = range(-radius, radius + 1)
-    # moved[axis][d]: the coordinate moved by d; off-grid cells read -1.
-    moved = [{d: c + d for d in shifts} for c in decode_cells(tree.keys[ids], level).T]
     srcs, dsts = [], []
-    for off in itertools.product(shifts, repeat=3):
-        if any(off):
-            dst = loc.locate(level, [ax[d] for ax, d in zip(moved, off)])
-            found = loc.levels[dst] == level
-            srcs.append(ids[found])
-            dsts.append(dst[found])
+    for dst in loc.neighbours(level, ids, radius):
+        found = loc.levels[dst] == level
+        srcs.append(ids[found])
+        dsts.append(dst[found])
     return np.concatenate(srcs), np.concatenate(dsts).astype(np.int64)
 
 
-def leaf_adjacency_pairs(tree: Octree, query=None):
+def leaf_adjacency_pairs(loc: CellLocator, among=None):
     """All ordered pairs (q, m) of leaf-table positions with touching boxes.
 
-    ``query`` restricts the first element to the given leaf-table
-    positions; by default every leaf is a query.  Box contact counts
-    faces, edges and corners.
+    ``among`` restricts both elements to the given leaf-table positions;
+    by default every leaf takes part.  Box contact counts faces, edges and
+    corners.  Of two touching leaves, the coarser (either, at one level)
+    is what ``locate`` returns at a same-level neighbour cell of the
+    other: each leaf keeps the leaves it locates, and the strictly
+    coarser ones are mirrored.
     """
-    n_leaves = tree.n_leaves
-    if query is None:
-        query = np.arange(n_leaves, dtype=np.int64)
+    tree = loc.tree
+    n_leaves = np.int64(tree.n_leaves)
+    if among is None:
+        among = np.arange(n_leaves, dtype=np.int64)
     else:
-        query = sorted_unique(np.asarray(query, dtype=np.int64))
-    loc = CellLocator(tree)
-    levels = tree.levels[tree.leaf_ids].astype(np.int64)
-    anchors, sizes = node_boxes(tree)
-    anchor = anchors[tree.leaf_ids]
-    far = anchor + sizes[tree.leaf_ids, None]
+        among = sorted_unique(np.asarray(among, dtype=np.int64))
     leaf_pos = np.full(tree.n_nodes + 1, -1, dtype=np.int64)  # [-1]: the empty cell
-    leaf_pos[tree.leaf_ids] = np.arange(n_leaves)
-    first, count = node_leaves(tree)
-    pair_q, pair_m = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for level in sorted_unique(levels[query]).tolist():
-        qs = query[levels[query] == level]
-        moved = [{d: c + d for d in (-1, 0, 1)} for c in (anchor[qs] >> (MAX_LEVEL - level)).T]
-        for off in _OFFSETS.tolist():
-            node = loc.locate(level, [ax[d] for ax, d in zip(moved, off)])
-            # A leaf at or above the neighbour cell touches the query box.
+    leaf_pos[tree.leaf_ids[among]] = among
+    levels = tree.levels[tree.leaf_ids]
+    pairs = [np.empty(0, np.int64)]
+    for level in sorted_unique(levels[among]).tolist():
+        qs = among[levels[among] == level]
+        for node in loc.neighbours(level, tree.leaf_ids[qs], 1):
             m = leaf_pos[node]
-            pair_q.append(qs[m >= 0])
-            pair_m.append(m[m >= 0])
-            # A node at the neighbour cell expands to its leaves, filtered by contact.
-            inner = (node >= 0) & (m < 0)
-            span = count[node[inner]]
-            cand = _ranges_concat(first[node[inner]], span)
-            qrep = np.repeat(qs[inner], span)
-            touch = ((anchor[cand] <= far[qrep]) & (anchor[qrep] <= far[cand])).all(axis=1)
-            pair_q.append(qrep[touch])
-            pair_m.append(cand[touch])
-    # A coarse leaf can cover several neighbour cells of one query.
-    packed = sorted_unique(np.concatenate(pair_q) * np.int64(n_leaves) + np.concatenate(pair_m))
+            q, m = qs[m >= 0], m[m >= 0]
+            coarser = levels[m] < level
+            pairs += [q * n_leaves + m, m[coarser] * n_leaves + q[coarser]]
+    # Same-level pairs come from both sides, and a coarse leaf can cover
+    # several neighbour cells of one leaf.
+    packed = sorted_unique(np.concatenate(pairs))
     return packed // n_leaves, packed % n_leaves
 
 
 def neighbor_counts(tree: Octree) -> np.ndarray:
     """Number of adjacent leaves for every leaf (leaf-table order)."""
-    q, _ = leaf_adjacency_pairs(tree)
+    q, _ = leaf_adjacency_pairs(CellLocator(tree))
     return np.bincount(q, minlength=tree.n_leaves)
 
 

@@ -211,16 +211,29 @@ def test_general_conservation_and_bounds(plummer_run):
 
 def test_local_p2p_counts_match_leaf_adjacency(plummer_run):
     tree, part, sp = plummer_run
-    from h2fmm.tree import leaf_adjacency_pairs
-
     ph = sim_local_p2p(sp)
-    q, m = leaf_adjacency_pairs(tree)
+    q, m = leaf_adjacency_pairs(CellLocator(tree))
     own_q = part.leaf_process[q]
     own_m = part.leaf_process[m]
     cross = own_q != own_m
     # Distinct (receiver process, remote leaf) pairs.
     packed = np.unique(own_q[cross].astype(np.int64) * tree.n_leaves + m[cross])
     assert ph.total_recv == len(packed)
+
+
+@pytest.mark.parametrize("model", ["hier", "direct"])
+def test_simulate_comm_builds_one_locator(plummer_run, monkeypatch, model):
+    tree, part, _ = plummer_run
+    built = []
+    init = CellLocator.__init__
+
+    def counting_init(self, t):
+        built.append(t)
+        init(self, t)
+
+    monkeypatch.setattr(CellLocator, "__init__", counting_init)
+    simulate_comm(tree, part, "plummer", model=model)
+    assert len(built) == 1 and built[0] is tree
 
 
 def test_simulate_comm_report(plummer_run):
@@ -331,7 +344,7 @@ def test_adjacency_pinned(kind):
         tree = build_tree(ps, leaf_capacity)
         if balanced:
             tree = balance_2to1(tree)
-        q, m = leaf_adjacency_pairs(tree)
+        q, m = leaf_adjacency_pairs(CellLocator(tree))
         assert _int64_digest(q, m) == PINNED_ADJACENCY_DIGESTS[(kind, leaf_capacity, balanced)]
 
 
@@ -399,12 +412,14 @@ def test_locator_lookups_match_bruteforce(kind, n, seed, leaf_capacity, balanced
             assert len(got) == len(set(got))
             assert set(got) == _brute_level_pairs(tree, level, radius, sources), (level, radius)
     brute = brute_adjacent_pairs(tree)
-    q, m = leaf_adjacency_pairs(tree)
+    q, m = leaf_adjacency_pairs(loc)
     assert set(zip(q.tolist(), m.tolist())) == brute
-    query = np.flatnonzero(rng.random(tree.n_leaves) < 0.3)
-    q, m = leaf_adjacency_pairs(tree, query=query)
-    wanted = set(query.tolist())
-    assert set(zip(q.tolist(), m.tolist())) == {(a, b) for a, b in brute if a in wanted}
+    among = np.flatnonzero(rng.random(tree.n_leaves) < 0.3)
+    q, m = leaf_adjacency_pairs(loc, among=among)
+    wanted = set(among.tolist())
+    assert set(zip(q.tolist(), m.tolist())) == {
+        (a, b) for a, b in brute if a in wanted and b in wanted
+    }
 
 
 def test_direct_let_p1_zero():

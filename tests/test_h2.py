@@ -400,7 +400,8 @@ def test_compress_validation(tree512):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(eps=0.0), dict(eps=-1.0), dict(eps=1.0), dict(max_rank=0),
-     dict(eta=0.0), dict(eta=-1.0), dict(eta=float("inf")), dict(eta=float("nan"))],
+     dict(eta=0.0), dict(eta=-1.0), dict(eta=float("inf")), dict(eta=float("nan")),
+     dict(eps="x"), dict(eps=True), dict(eta=True), dict(max_rank=1.5), dict(max_rank=True)],
 )
 def test_compress_out_of_range_parameters_rejected(tree512, kwargs):
     with pytest.raises(ConfigurationError):

@@ -182,6 +182,20 @@ CORRUPT = {
     "balanced-int": dict(header=lambda head: {"balanced": 1}),
     "balanced-str": dict(header=lambda head: {"balanced": "false"}),
     "extra-node": dict(header=lambda head: {"n_nodes": head["n_nodes"] + 1}, ranks=_grow, tails=_grow),
+    "eps-str": dict(header=lambda head: {"eps": "x"}),
+    "eps-0": dict(header=lambda head: {"eps": 0}),
+    "eps-1.5": dict(header=lambda head: {"eps": 1.5}),
+    "eps-true": dict(header=lambda head: {"eps": True}),
+    "eta-str": dict(header=lambda head: {"eta": "x"}),
+    "eta-negative": dict(header=lambda head: {"eta": -1}),
+    "eta-true": dict(header=lambda head: {"eta": True}),
+    "max-rank-0": dict(header=lambda head: {"max_rank": 0}),
+    "max-rank-1.5": dict(header=lambda head: {"max_rank": 1.5}),
+    "max-rank-str": dict(header=lambda head: {"max_rank": "x"}),
+    "max-rank-true": dict(header=lambda head: {"max_rank": True}),
+    "laplace-delta-0": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=0.0)}),
+    "nan-tail": dict(tails=_set(0, np.nan)),
+    "negative-tail": dict(tails=_set(1, -1.0)),
 }
 
 
@@ -203,3 +217,16 @@ def test_matvec_on_corrupt_container_exits_2(tiny_container, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "s.json").exists()
+
+
+def test_matvec_on_nan_basis_exits_2(tiny_container, tmp_path, capsys):
+    # The packed data are not scanned at load; the product shows the NaN.
+    path = tmp_path / "nan.h2"
+    path.write_bytes(_rewrite(tiny_container, basis=_set(0, np.nan)))
+    decode(bytearray(path.read_bytes()))
+    out = tmp_path / "y.csv"
+    argv = ["matvec", "--matrix", str(path), "--out", str(out), "--summary", str(tmp_path / "s.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "s.json").exists()

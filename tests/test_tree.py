@@ -12,6 +12,7 @@ from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DistributionSpec, ParticleSet, generate
 from h2fmm.morton import MAX_LEVEL, decode_cells
 from h2fmm.tree import (
+    CellLocator,
     balance_2to1,
     build_tree,
     depth_stats,
@@ -242,7 +243,7 @@ def test_balance_matches_bruteforce_ripple(kind, n, seed, leaf_capacity):
 def test_adjacency_matches_bruteforce_oracle():
     ps = generate(DistributionSpec("random-cube", 600, seed=2))
     t = build_tree(ps, 4)
-    q, m = leaf_adjacency_pairs(t)
+    q, m = leaf_adjacency_pairs(CellLocator(t))
     assert set(zip(q.tolist(), m.tolist())) == brute_adjacent_pairs(t)
 
 
@@ -262,8 +263,8 @@ def test_adjacency_query_corner_leaf():
     t = build_tree(ps, 8)
     corner = int(np.flatnonzero(t.keys[t.leaf_ids] == 0)[0])  # cell (0, 0, 0)
     assert t.levels[t.leaf_ids[corner]] == 1
-    q, m = leaf_adjacency_pairs(t, query=[corner])
-    assert (q == corner).all()
+    q, m = leaf_adjacency_pairs(CellLocator(t))
+    m = m[q == corner]
     assert len(m) == 7
     assert (t.levels[t.leaf_ids[m]] == 1).all()
 
