@@ -546,7 +546,11 @@ def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
 
     Every process pulls each cell of its essential tree individually;
     partners are all distinct owners of any needed cell, and coarse
-    cells are owned by whole process groups.
+    cells are owned by whole process groups.  A cell's owners are the
+    interval [owner_lo, owner_hi], so a process's partner count is the
+    size of the union of its needed cells' intervals: sorted by lower
+    end, each interval adds what reaches past the running maximum of the
+    upper ends before it.
     """
     tree = split.tree
     P = split.partition.P
@@ -561,10 +565,16 @@ def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     p, cell, sender = _dedup(split, procs, cells)
     recv = np.bincount(p, minlength=P)
     sent = np.bincount(sender, minlength=P)
-    # Partner set: every owner of every needed cell.
-    owners, p_rep = _owner_needs(split, cell, p)
-    pq = sorted_unique(p_rep * np.int64(P) + owners)
-    return PhaseResult("direct-let", np.bincount(pq // P, minlength=P), sent, recv)
+    lo, hi = split.owner_lo[cell].astype(np.int64), split.owner_hi[cell].astype(np.int64)
+    srt = np.argsort(p * P + lo)
+    p, lo, hi = p[srt], lo[srt], hi[srt]
+    # Running max of hi within each process's run; p * P keeps the runs apart.
+    reach = np.maximum.accumulate(p * P + hi) - p * P
+    before = np.roll(reach, 1)
+    before[np.diff(p, prepend=-1) != 0] = -1
+    added = np.maximum(hi - np.maximum(lo - 1, before), 0)
+    partners = np.bincount(p, weights=added, minlength=P).astype(np.int64)
+    return PhaseResult("direct-let", partners, sent, recv)
 
 
 def simulate_comm(

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import KernelSpec, kernel_block
+from .kernels import KernelSpec, _real, kernel_block
 from .morton import MAX_LEVEL
 from .tree import Octree, _ranges_concat, node_boxes
 
@@ -523,15 +523,12 @@ def check_parameters(kernel: KernelSpec, eps, eta, max_rank) -> None:
     """Raise ConfigurationError unless eps is a real in (0, 1), eta a finite
     real > 0, max_rank None or an integer >= 1 (a bool is none of these),
     and the kernel is finite on the diagonal."""
-    def real(v):
-        return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-    if not (real(eps) and 0.0 < eps < 1.0):
+    if not (_real(eps) and 0.0 < eps < 1.0):
         raise ConfigurationError(f"eps must be in (0, 1), got {eps!r}")
-    if not (real(eta) and math.isfinite(eta) and eta > 0.0):
+    if not (_real(eta) and math.isfinite(eta) and eta > 0.0):
         raise ConfigurationError(f"eta must be finite and > 0, got {eta!r}")
     if max_rank is not None and not (
-        isinstance(max_rank, numbers.Integral) and real(max_rank) and max_rank >= 1
+        isinstance(max_rank, numbers.Integral) and _real(max_rank) and max_rank >= 1
     ):
         raise ConfigurationError(f"max_rank must be None or an integer >= 1, got {max_rank!r}")
     if kernel.kind in ("laplace3d", "laplace2d") and kernel.regularization == 0.0:

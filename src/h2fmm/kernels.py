@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -16,6 +17,11 @@ DEFAULT_ORACLE_MAX = 16384
 ORACLE_MAX_ENV = "H2FMM_ORACLE_MAX"
 
 
+def _real(v) -> bool:
+    """A real number, and not a bool (which Python counts as an int)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A radial interaction kernel.
@@ -23,7 +29,7 @@ class KernelSpec:
     ``regularization`` is the delta in r -> sqrt(r^2 + delta^2); with
     delta = 0 the singular kernels are infinite at coincident points.
     ``sigma`` is the gaussian width and is ignored by the other kinds.
-    Both must be finite.
+    Both must be finite reals, and a bool is not one.
     """
 
     kind: str = "laplace3d"
@@ -35,10 +41,10 @@ class KernelSpec:
             raise ConfigurationError(
                 f"unsupported kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
-        if not (math.isfinite(self.regularization) and math.isfinite(self.sigma)):
+        if not all(_real(v) and math.isfinite(v) for v in (self.regularization, self.sigma)):
             raise ConfigurationError(
-                f"kernel parameters must be finite, got regularization={self.regularization}, "
-                f"sigma={self.sigma}"
+                f"kernel parameters must be finite reals, got regularization="
+                f"{self.regularization!r}, sigma={self.sigma!r}"
             )
         if self.regularization < 0.0:
             raise ConfigurationError("regularization must be >= 0")

@@ -113,8 +113,8 @@ def _split_cells(k21, starts, counts, level):
 
 
 def _compute_leaves(k21, n, leaf_capacity):
-    """Leaf cells (keys, levels, starts, counts) of the adaptive split."""
-    leaf_keys, leaf_levels, leaf_starts, leaf_counts = [], [], [], []
+    """Leaf cells (keys, levels) of the adaptive split."""
+    leaf_keys, leaf_levels = [], []
     cur_keys = np.zeros(1, dtype=np.uint64)
     cur_starts = np.zeros(1, dtype=np.int64)
     cur_counts = np.array([n], dtype=np.int64)
@@ -129,78 +129,46 @@ def _compute_leaves(k21, n, leaf_capacity):
                 stacklevel=3,
             )
             split[:] = False
-        keep = ~split
-        if keep.any():
-            leaf_keys.append(cur_keys[keep])
-            leaf_levels.append(np.full(int(keep.sum()), level, dtype=np.int8))
-            leaf_starts.append(cur_starts[keep])
-            leaf_counts.append(cur_counts[keep])
+        leaf_keys.append(cur_keys[~split])
+        leaf_levels.append(np.full(len(leaf_keys[-1]), level, dtype=np.int8))
         if not split.any():
             break
         cur_keys, cur_starts, cur_counts = _split_cells(
             k21, cur_starts[split], cur_counts[split], level
         )
         level += 1
-    return (
-        np.concatenate(leaf_keys),
-        np.concatenate(leaf_levels),
-        np.concatenate(leaf_starts),
-        np.concatenate(leaf_counts).astype(np.int64),
-    )
+    return np.concatenate(leaf_keys), np.concatenate(leaf_levels)
 
 
-def _assemble(particles, order, k21, leaf_capacity, lkeys, llevels, lstarts, lcounts, balanced):
-    """Every Octree's maker: the node arrays over a disjoint leaf set, given in any order."""
-    depth = int(llevels.max())
-    # Per-level node tables, deepest first; each entry (keys, starts, counts, is_leaf).
-    by_level = {}
-    carry = None  # parents produced by the level below
-    for level in range(depth, -1, -1):
-        sel = llevels == level
-        keys = lkeys[sel]
-        starts = lstarts[sel]
-        counts = lcounts[sel]
-        flags = np.ones(len(keys), dtype=bool)
-        if carry is not None:
-            ck, cs, cc = carry
-            keys = np.concatenate([keys, ck])
-            starts = np.concatenate([starts, cs])
-            counts = np.concatenate([counts, cc])
-            flags = np.concatenate([flags, np.zeros(len(ck), dtype=bool)])
-        srt = np.argsort(keys, kind="stable")
-        keys, starts, counts, flags = keys[srt], starts[srt], counts[srt], flags[srt]
-        by_level[level] = (keys, starts, counts, flags)
-        if level > 0:
-            pk = keys >> _U(3)
-            first = np.flatnonzero(np.r_[True, pk[1:] != pk[:-1]])
-            agg = np.add.reduceat(counts, first)
-            carry = (pk[first], starts[first], agg)
-    # Flatten into (level, key)-sorted arrays.
-    sizes = [len(by_level[l][0]) for l in range(depth + 1)]
+def _assemble(particles, order, k21, leaf_capacity, leaf_keys, leaf_levels, balanced):
+    """Every Octree's maker: the node arrays of a disjoint leaf set, given in any order.
+
+    The level-l nodes are the distinct level-l ancestors of the leaves at
+    levels >= l (Sundar, Sampath and Biros, 2008).  Particle ranges and
+    parents are searches; ``parents`` is nondecreasing, so a node's
+    children are the run of its id there.
+    """
+    depth = int(leaf_levels.max())
+    lev = leaf_levels.astype(np.uint64)
+    by_level = [
+        sorted_unique(leaf_keys[lev >= level] >> (_U(3) * (lev[lev >= level] - _U(level))))
+        for level in range(depth + 1)
+    ]
+    sizes = [len(k) for k in by_level]
     level_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    n_nodes = int(level_ptr[-1])
-    keys = np.concatenate([by_level[l][0] for l in range(depth + 1)])
-    starts = np.concatenate([by_level[l][1] for l in range(depth + 1)])
-    counts = np.concatenate([by_level[l][2] for l in range(depth + 1)])
-    is_leaf = np.concatenate([by_level[l][3] for l in range(depth + 1)])
-    levels = np.concatenate(
-        [np.full(sizes[l], l, dtype=np.int8) for l in range(depth + 1)]
-    )
-    parents = np.full(n_nodes, -1, dtype=np.int32)
-    child_start = np.zeros(n_nodes, dtype=np.int32)
-    child_count = np.zeros(n_nodes, dtype=np.int8)
-    for level in range(depth):
-        lo, hi = level_ptr[level], level_ptr[level + 1]
-        clo, chi = level_ptr[level + 1], level_ptr[level + 2]
-        if chi == clo:
-            continue
-        ck = keys[clo:chi] >> _U(3)
-        pos = np.searchsorted(keys[lo:hi], ck)
-        parents[clo:chi] = (lo + pos).astype(np.int32)
-        first = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
-        cnt = np.diff(np.append(first, chi - clo))
-        child_start[lo + pos[first]] = (clo + first).astype(np.int32)
-        child_count[lo + pos[first]] = cnt.astype(np.int8)
+    keys = np.concatenate(by_level)
+    levels = np.repeat(np.arange(depth + 1, dtype=np.int8), sizes)
+    starts = np.searchsorted(k21, _start21(keys, levels))
+    counts = np.searchsorted(k21, _start21(keys + _U(1), levels)) - starts
+    parents = np.full(len(keys), -1, dtype=np.int32)
+    for level in range(1, depth + 1):
+        lo, hi, end = level_ptr[level - 1 : level + 2]
+        parents[hi:end] = lo + np.searchsorted(keys[lo:hi], keys[hi:end] >> _U(3))
+    ids = np.arange(len(keys), dtype=np.int32)
+    child_start = np.searchsorted(parents, ids).astype(np.int32)
+    child_count = (np.searchsorted(parents, ids, side="right") - child_start).astype(np.int8)
+    is_leaf = child_count == 0
+    child_start[is_leaf] = 0
     leaf_ids = np.flatnonzero(is_leaf).astype(np.int32)
     leaf_start21 = _start21(keys[leaf_ids], levels[leaf_ids])
     srt = np.argsort(leaf_start21, kind="stable")
@@ -248,11 +216,8 @@ def build_tree(particles: ParticleSet, leaf_capacity: int = DEFAULT_LEAF_CAPACIT
     keys = points_to_keys(particles.positions, MAX_LEVEL)
     order = np.argsort(keys, kind="stable")
     k21 = keys[order]
-    sorted_particles = particles.take(order)
-    lkeys, llevels, lstarts, lcounts = _compute_leaves(k21, n, leaf_capacity)
-    return _assemble(
-        sorted_particles, order, k21, leaf_capacity, lkeys, llevels, lstarts, lcounts, False
-    )
+    leaves = _compute_leaves(k21, n, leaf_capacity)
+    return _assemble(particles.take(order), order, k21, leaf_capacity, *leaves, False)
 
 
 def _mark_for_balance(tree: Octree):
@@ -270,16 +235,18 @@ def _mark_for_balance(tree: Octree):
     return mark[tree.leaf_ids]
 
 
-def _split_marked(k21, lkeys, llevels, lstarts, lcounts, mark):
-    """Replace marked leaves by their nonempty children (in no set order)."""
-    keep = ~mark
-    out = [(lkeys[keep], llevels[keep], lstarts[keep], lcounts[keep])]
-    for level in sorted_unique(llevels[mark]):
+def _split_marked(tree: Octree, mark):
+    """Leaf cells (keys, levels) of ``tree`` with the marked leaves replaced
+    by their nonempty children (in no set order)."""
+    ids = tree.leaf_ids
+    levels = tree.levels[ids]
+    out = [(tree.keys[ids[~mark]], levels[~mark])]
+    for level in sorted_unique(levels[mark]):
         if level >= MAX_LEVEL:
             raise PrecisionLimitError("2:1 refinement would exceed the maximum level")
-        sel = mark & (llevels == level)
-        keys, starts, counts = _split_cells(k21, lstarts[sel], lcounts[sel], level)
-        out.append((keys, np.full(len(keys), level + 1, dtype=np.int8), starts, counts))
+        sel = ids[mark & (levels == level)]
+        keys, _, _ = _split_cells(tree.keys21, tree.starts[sel], tree.counts[sel], level)
+        out.append((keys, np.full(len(keys), level + 1, dtype=np.int8)))
     return tuple(map(np.concatenate, zip(*out)))
 
 
@@ -292,20 +259,18 @@ def balance_2to1(tree: Octree) -> Octree:
 
     Returns a new tree; the input is left untouched.
     """
-    def assemble(leaves):
+    def assemble(*leaves):
         return _assemble(tree.particles, tree.order, tree.keys21, tree.leaf_capacity, *leaves, True)
 
     out = tree
     for _ in range(MAX_LEVEL * MAX_LEVEL):
-        ids = out.leaf_ids
-        leaves = (out.keys[ids], out.levels[ids], out.starts[ids], out.counts[ids])
         mark = _mark_for_balance(out)
         if not mark.any():
             break
-        out = assemble(_split_marked(tree.keys21, *leaves, mark))
+        out = assemble(*_split_marked(out, mark))
     else:  # pragma: no cover - the ripple strictly deepens marked leaves
         raise RuntimeError("2:1 balancing did not reach a fixpoint")
-    return assemble(leaves) if out is tree else out
+    return assemble(tree.keys[tree.leaf_ids], tree.levels[tree.leaf_ids]) if out is tree else out
 
 
 # Cell cap of the locator's deepest dense table: 2^21 int32 cells, 8 MiB.

@@ -1,11 +1,13 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from h2fmm import commsim
 from h2fmm.commsim import (
     CSV_HEADER,
     PHASES,
@@ -29,7 +31,14 @@ from h2fmm.commsim import (
 from h2fmm.errors import ConfigurationError, PartitionError
 from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, ParticleSet, generate
 from h2fmm.morton import decode_cells
-from h2fmm.tree import CellLocator, _level_pairs, balance_2to1, build_tree, leaf_adjacency_pairs
+from h2fmm.tree import (
+    CellLocator,
+    _level_pairs,
+    balance_2to1,
+    build_tree,
+    leaf_adjacency_pairs,
+    sorted_unique,
+)
 from test_tree import brute_adjacent_pairs
 
 
@@ -429,6 +438,38 @@ def test_direct_let_p1_zero():
     t = build_tree(generate(DistributionSpec("plummer", 400, seed=0)), 16)
     gen = sim_direct_let(split_global_local(t, partition_sfc(t, 1)))
     assert gen.total_recv == 0 and gen.partners.sum() == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 16),
+    balanced=st.booleans(),
+    data=st.data(),
+)
+def test_direct_let_partners_match_owner_expansion(kind, n, seed, leaf_capacity, balanced, data):
+    # Oracle: expand every distinct (process, cell) need over all of the
+    # cell's owners and count the distinct (process, owner) pairs.
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    P = data.draw(st.integers(1, tree.n_leaves), label="P")
+    split = split_global_local(tree, partition_sfc(tree, P))
+    needs, dedup = [], commsim._dedup
+
+    def spy(*args):
+        needs.append(dedup(*args))
+        return needs[-1]
+
+    with mock.patch.object(commsim, "_dedup", spy):
+        got = sim_direct_let(split)
+    p, cell, _ = needs[0]
+    owners, p_rep = commsim._owner_needs(split, cell, p)
+    pairs = sorted_unique(p_rep * np.int64(P) + owners)
+    assert np.array_equal(got.partners, np.bincount(pairs // P, minlength=P))
+    assert got.partners.dtype == np.int64
 
 
 def test_local_volume_monotone_in_n_per_p():

@@ -194,6 +194,9 @@ CORRUPT = {
     "max-rank-str": dict(header=lambda head: {"max_rank": "x"}),
     "max-rank-true": dict(header=lambda head: {"max_rank": True}),
     "laplace-delta-0": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=0.0)}),
+    "delta-true": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=True)}),
+    "delta-str": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization="0.01")}),
+    "sigma-true": dict(header=lambda head: {"kernel": dict(head["kernel"], sigma=True)}),
     "nan-tail": dict(tails=_set(0, np.nan)),
     "negative-tail": dict(tails=_set(1, -1.0)),
 }

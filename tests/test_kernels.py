@@ -74,8 +74,9 @@ def test_unknown_kernel_kind():
         KernelSpec("laplace3d", regularization=-1.0)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, False, "0.01", None])
 def test_non_finite_kernel_parameters_rejected(bad):
+    # A bool, a string or None is not a real number.
     with pytest.raises(ConfigurationError, match="finite"):
         KernelSpec("laplace3d", regularization=bad)
     with pytest.raises(ConfigurationError, match="finite"):

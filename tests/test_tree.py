@@ -186,6 +186,80 @@ def test_balance_pinned(kind):
         assert _leaf_digest(tb) == PINNED_BALANCE_DIGESTS[(kind, leaf_capacity)], leaf_capacity
 
 
+NODE_FIELDS = (
+    "keys", "levels", "starts", "counts", "parents", "child_start",
+    "child_count", "is_leaf", "level_ptr", "leaf_ids", "leaf_start21",
+)
+
+
+def _node_digest(tree):
+    """sha256 over every node array of ``tree``, names, dtypes and shapes included."""
+    h = hashlib.sha256()
+    for name in NODE_FIELDS:
+        a = np.ascontiguousarray(getattr(tree, name))
+        h.update(f"{name}:{a.dtype.str}:{a.shape};".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def coincident_particles():
+    """40 coincident points, past what level 21 can split, among 200 random ones."""
+    rng = np.random.default_rng(7)
+    return ParticleSet(np.concatenate([np.full((40, 3), 0.3), rng.random((200, 3))]))
+
+
+# (kind, leaf capacity, balanced) -> _node_digest, N = 16384, seed 0; recorded
+# on the per-level count-carrying assembly that derivation from the leaf
+# cells replaced.
+PINNED_NODE_DIGESTS = {
+    ("plummer", 16, False): "a2c31d7d42dbc1b36ec8041b1d2824f88adad6346b3358516f278509bb7e587a",
+    ("plummer", 16, True): "0e6d1276f53f2dd196300217cf6d0ab9d00a905a190df2f8b92559a76fe1c27c",
+    ("plummer", 1, False): "451138aa6400eec90a16c3a124b4322e17d1bcbd1ea836e4d5596d59083b91d4",
+    ("plummer", 1, True): "665ddccc2aff440c4fbd74b68d594ad8740d6690f4bdbd14236c2ef8f44eb731",
+    ("sphere-surface", 16, False): "091a9ce0d58cb41f3d221ce0bc329ebbde885b816736de940b66a51e86c21f35",
+    ("sphere-surface", 16, True): "8e60dfcbf0fe6d1bf8eefec455175459222ebdd2aecfc0bab6ee13d9929df5a4",
+    ("sphere-surface", 1, False): "f8c208495065ddba70e033e227dcc09af3dca6bcb1d5eeb55650e70cba815ecc",
+    ("sphere-surface", 1, True): "faa3d6b0a256562da0656ec91717ffe36eb61ad11990e7a89cf8761e24ee5d41",
+    ("random-cube", 16, False): "31344bd23175de406487b6b190d83c2db838c6d31a794ac2e48a1dd6821ae91b",
+    ("random-cube", 16, True): "31344bd23175de406487b6b190d83c2db838c6d31a794ac2e48a1dd6821ae91b",
+    ("random-cube", 1, False): "bc035c3d965f05bfbba946fd124ca37670ff5ac9b79da38c4f096759b43f5d29",
+    ("random-cube", 1, True): "849d2f9484a2c03a1ae8a72093362d8bf464749e681437a1f86790e0684c3dd9",
+    ("coincident", 16, False): "32cfe51d5221e3b74b7baa80682e19d1edffcbdc62587a4a204e183dceb49267",
+    ("coincident", 16, True): "e87c2c80fac0e7bca6e51ed35cd1f47b5643f9f1feade8c35cb9c8f718b5b109",
+}
+
+
+@pytest.mark.parametrize("kind", ["plummer", "sphere-surface", "random-cube"])
+def test_node_table_pinned(kind):
+    ps = generate(DistributionSpec(kind, 16384, seed=0))
+    for leaf_capacity in (16, 1):
+        t = build_tree(ps, leaf_capacity)
+        assert _node_digest(t) == PINNED_NODE_DIGESTS[(kind, leaf_capacity, False)], leaf_capacity
+        tb = balance_2to1(t)
+        assert _node_digest(tb) == PINNED_NODE_DIGESTS[(kind, leaf_capacity, True)], leaf_capacity
+
+
+def test_node_table_pinned_coincident():
+    with pytest.warns(RuntimeWarning, match="oversized"):
+        t = build_tree(coincident_particles(), 16)
+    assert t.depth == MAX_LEVEL
+    assert _node_digest(t) == PINNED_NODE_DIGESTS[("coincident", 16, False)]
+    assert _node_digest(balance_2to1(t)) == PINNED_NODE_DIGESTS[("coincident", 16, True)]
+
+
+@pytest.mark.parametrize("kind,leaf_capacity", [("plummer", 4), ("sphere-surface", 1)])
+def test_assemble_takes_leaves_in_any_order(kind, leaf_capacity):
+    from h2fmm.tree import _assemble
+
+    tb = balance_2to1(build_tree(generate(DistributionSpec(kind, 3000, seed=1)), leaf_capacity))
+    shuffled = np.random.default_rng(0).permutation(tb.leaf_ids)
+    again = _assemble(
+        tb.particles, tb.order, tb.keys21, tb.leaf_capacity,
+        tb.keys[shuffled], tb.levels[shuffled], True,
+    )
+    assert _node_digest(again) == _node_digest(tb)
+
+
 def brute_balance_leaves(tree):
     """(level, key) leaf set of the 2:1 ripple, by the O(L^2) contact oracle.
 
@@ -204,13 +278,13 @@ def brute_balance_leaves(tree):
         for pos, node in enumerate(ids):
             s, c, lev = int(tree.starts[node]), int(tree.counts[node]), int(levels[pos])
             if pos not in coarse:
-                leaves.append((int(tree.keys[node]), lev, s, c))
+                leaves.append((int(tree.keys[node]), lev))
                 continue
             # The node's particles are Morton-sorted, so each child is one run.
             child = (tree.keys21[s : s + c] >> np.uint64(3 * (MAX_LEVEL - lev - 1))).tolist()
             for ck in sorted(set(child)):
-                leaves.append((ck, lev + 1, s + child.index(ck), child.count(ck)))
-        keys, lev, starts, counts = zip(*leaves)
+                leaves.append((ck, lev + 1))
+        keys, lev = zip(*leaves)
         tree = _assemble(
             tree.particles,
             tree.order,
@@ -218,8 +292,6 @@ def brute_balance_leaves(tree):
             tree.leaf_capacity,
             np.array(keys, dtype=np.uint64),
             np.array(lev, dtype=np.int8),
-            np.array(starts, dtype=np.int64),
-            np.array(counts, dtype=np.int64),
             True,
         )
 
