@@ -342,38 +342,26 @@ def uniform_comm_report(
     dir_mask = _process_dir_mask(P, g, mode, g)
     n_dirs = dir_mask.sum(axis=1)
 
-    # Global M2M: the 7 sibling-group partners always exist for P = 8^g.
-    partners = zeros()
-    recv = zeros()
-    per_level = []
-    for i in range(1, g + 1):
-        partners += 7
-        recv += 7
-        per_level.append((i, 7, 7))
-    phases["global-m2m"] = PhaseResult("global-m2m", partners, recv.copy(), recv.copy(), per_level)
+    # Global M2M: the 7 sibling-group partners always exist for P = 8^g,
+    # and each sends one cell per global level.
+    recv = np.full(P, 7 * g, dtype=np.int64)
+    per_level = [(i, 7, 7) for i in range(1, g + 1)]
+    phases["global-m2m"] = PhaseResult("global-m2m", recv.copy(), recv.copy(), recv.copy(), per_level)
 
     # Global M2L: one partner per neighbor cell of the process's level-i
     # ancestor, each shipping its 8-cell sibling bundle.
-    partners = zeros()
-    recv = zeros()
-    per_level = []
+    partners, per_level = zeros(), []
     for i in range(1, g + 1):
         lvl_partners = _process_dir_mask(P, g, mode, i).sum(axis=1)
         partners += lvl_partners
-        recv += 8 * lvl_partners
         per_level.append((i, int(lvl_partners.max()), int(8 * lvl_partners.max())))
-    phases["global-m2l"] = PhaseResult("global-m2l", partners, recv.copy(), recv.copy(), per_level)
+    phases["global-m2l"] = PhaseResult("global-m2l", partners, 8 * partners, 8 * partners, per_level)
 
     # Local M2L: two-cell-wide halos at every local level.
-    partners = zeros()
-    recv = zeros()
-    per_level = []
-    for i in range(1, ell + 1):
-        lvl = _halo_cells(i, 2, dir_mask)
-        recv += lvl
-        per_level.append((i, int(n_dirs.max()), int(lvl.max())))
-    if ell >= 1:
-        partners += n_dirs
+    halos = [_halo_cells(i, 2, dir_mask) for i in range(1, ell + 1)]
+    recv = sum(halos, zeros())
+    per_level = [(i, int(n_dirs.max()), int(lvl.max())) for i, lvl in enumerate(halos, 1)]
+    partners = n_dirs * (ell >= 1)
     phases["local-m2l"] = PhaseResult("local-m2l", partners, recv.copy(), recv.copy(), per_level)
 
     # Local P2P: one-cell-wide halo at the leaf level only.

@@ -7,7 +7,8 @@ raw dense blocks for inadmissible leaf-level pairs.  The kernels are
 symmetric, so one basis serves rows and columns (U = V), S_ji = S_ij^T,
 and each admissible pair is stored once, as S_ij with i < j.  The basis,
 coupling and dense blocks are each packed into one array of shape groups
-(:class:`Packed`); a matvec phase is one batched product per group.
+(:class:`Packed`); a matvec phase is one batched product per group, and
+the first coupling and dense calls build and keep an :class:`ApplyPlan`.
 
 Bases are built bottom-up over skeleton points.  A node's rows are its
 particles at a leaf, or its children's skeleton points; its columns are
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,22 +167,13 @@ def build_block_tree(tree: Octree, eta: float = DEFAULT_ETA) -> BlockTree:
         ni = np.where(tree.is_leaf[si], 1, tree.child_count[si]).astype(np.int64)
         nj = np.where(tree.is_leaf[sj], 1, tree.child_count[sj]).astype(np.int64)
         rep = ni * nj
-        total = int(rep.sum())
         parent = np.repeat(np.arange(len(si)), rep)
         offsets = np.concatenate([[0], np.cumsum(rep)[:-1]])
-        t = np.arange(total) - offsets[parent]
-        a = t // nj[parent]
-        b = t % nj[parent]
-        cur_i = np.where(
-            tree.is_leaf[si[parent]], si[parent], tree.child_start[si[parent]] + a
-        )
-        cur_j = np.where(
-            tree.is_leaf[sj[parent]], sj[parent], tree.child_start[sj[parent]] + b
-        )
-    lr_i = np.concatenate(lr_i) if lr_i else np.empty(0, np.int64)
-    lr_j = np.concatenate(lr_j) if lr_j else np.empty(0, np.int64)
-    dn_i = np.concatenate(dn_i) if dn_i else np.empty(0, np.int64)
-    dn_j = np.concatenate(dn_j) if dn_j else np.empty(0, np.int64)
+        a, b = np.divmod(np.arange(int(rep.sum())) - offsets[parent], nj[parent])
+        pi, pj = si[parent], sj[parent]
+        cur_i = np.where(tree.is_leaf[pi], pi, tree.child_start[pi] + a)
+        cur_j = np.where(tree.is_leaf[pj], pj, tree.child_start[pj] + b)
+    lr_i, lr_j, dn_i, dn_j = map(np.concatenate, (lr_i, lr_j, dn_i, dn_j))  # one pass at least
     # Node ids are (level, key)-sorted, so this order is deterministic.
     lr_order = np.lexsort((lr_j, lr_i))
     dn_order = np.lexsort((dn_j, dn_i))
@@ -230,6 +223,14 @@ class H2Matrix:
     @property
     def n(self) -> int:
         return self.octree.n_particles
+
+    @cached_property
+    def coupling_plan(self) -> ApplyPlan:
+        return ApplyPlan(self.blocks.coupling, self.row_basis.offsets, both_ways=True)
+
+    @cached_property
+    def dense_plan(self) -> ApplyPlan:
+        return ApplyPlan(self.blocks.dense, self.octree.starts)
 
     def flagged_nodes(self) -> list:
         """(node, tail) of nodes whose rank cap left a truncation tail above eps."""
@@ -598,11 +599,16 @@ def compress(
     )
 
 
+def _vector(x, size, what) -> np.ndarray:
+    """``x`` as a float64 vector; ValueError if it is complex or not of shape (size,)."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) or x.shape != (size,):
+        raise ValueError(f"{what} must be real of shape ({size},), got {x.dtype} {x.shape}")
+    return x.astype(np.float64, copy=False)
+
+
 def _to_sorted(h2: H2Matrix, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (h2.n,):
-        raise ValueError(f"vector length {x.shape} does not match matrix size {h2.n}")
-    return x[h2.octree.order]
+    return _vector(x, h2.n, "vector")[h2.octree.order]
 
 
 def _to_original(h2: H2Matrix, ys) -> np.ndarray:
@@ -616,23 +622,38 @@ def _spans(starts, width) -> np.ndarray:
     return starts[:, None] + np.arange(width)
 
 
-def _block_apply(packed, x, starts, size, both_ways=False) -> np.ndarray:
-    """Sum of B x_j into slot i over the stored blocks B of pairs (i, j).
+class ApplyPlan:
+    """Scatter indices of a packed store, built once: block B of pair (i, j)
+    adds B x_j to slot i, slot n starting at ``starts[n]``.  Per group,
+    (blocks, v, w): B reads ``x[gather][w]`` into ``values[v]`` and each B^T
+    (``both_ways``) reads ``x[gather][v]`` into ``values[w]``, so one array
+    is ``targets`` and ``gather``.  Value t is summed into ``targets[t]``."""
 
-    With ``both_ways`` each block also adds B^T x_i into slot j.  Slot n
-    of ``x`` and of the result starts at ``starts[n]``.  Contributions are
-    summed in storage order, so the result is reproducible.
-    """
-    idx, val = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for ij, b in packed.groups():
-        ii = _spans(starts[ij[:, 0]], b.shape[1])
-        jj = _spans(starts[ij[:, 1]], b.shape[2])
-        idx.append(ii.ravel())
-        val.append(np.matmul(b, x[jj][:, :, None]).ravel())
-        if both_ways:
-            idx.append(jj.ravel())
-            val.append(np.matmul(x[ii][:, None, :], b).ravel())
-    return np.bincount(np.concatenate(idx), np.concatenate(val), minlength=size)
+    def __init__(self, packed, starts, both_ways=False):
+        count = np.diff(packed.ptr)
+        size = count[:, None] * packed.shapes  # entries per group: rows, columns
+        lo, width = starts[packed.ids], np.repeat(packed.shapes, count, axis=0)
+        if both_ways:  # (group, side, item) order: a group's rows, then its columns
+            side = np.repeat(2 * np.arange(len(count)), count)[:, None] + np.arange(2)
+            order = np.argsort(side.T.ravel(), kind="stable")
+            self.targets = self.gather = _ranges_concat(lo.T.ravel()[order], width.T.ravel()[order])
+            end = np.cumsum(size.ravel()).reshape(-1, 2)
+        else:
+            self.targets, self.gather = (_ranges_concat(lo[:, k], width[:, k]) for k in (0, 1))
+            end = np.cumsum(size, axis=0)
+        bounds = np.stack([end - size, end], axis=2).tolist()
+        self.groups = [(b, slice(*v), slice(*w)) for (_, b), (v, w) in zip(packed.groups(), bounds)]
+        self.both_ways = both_ways
+
+    def apply(self, x, size) -> np.ndarray:
+        """Sum of B x_j into slot i over the blocks, in a vector of ``size``."""
+        g, values = x[self.gather], np.empty(len(self.targets))
+        for b, v, w in self.groups:
+            n, r, c = b.shape
+            np.matmul(b, g[w].reshape(n, c)[:, :, None], out=values[v].reshape(n, r, 1))
+            if self.both_ways:
+                np.matmul(g[v].reshape(n, r)[:, None, :], b, out=values[w].reshape(n, 1, c))
+        return np.bincount(self.targets, values, minlength=size)
 
 
 def _basis_slots(h2: H2Matrix):
@@ -669,8 +690,8 @@ def coupling(h2: H2Matrix, xhat) -> np.ndarray:
     Each stored pair adds S_ij x_hat_j to node i and S_ij^T x_hat_i to
     node j.
     """
-    xhat = np.asarray(xhat, dtype=np.float64)
-    return _block_apply(h2.blocks.coupling, xhat, h2.row_basis.offsets, len(xhat), both_ways=True)
+    size = int(h2.row_basis.offsets[-1])
+    return h2.coupling_plan.apply(_vector(xhat, size, "x_hat"), size)
 
 
 def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
@@ -680,7 +701,7 @@ def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
     matrices, top-down, and leaves emit U times their accumulator.
     Returns a vector in original particle order.
     """
-    buf = np.concatenate([np.zeros(h2.n), yhat])
+    buf = np.concatenate([np.zeros(h2.n), _vector(yhat, int(h2.row_basis.offsets[-1]), "y_hat")])
     inp, out = _basis_slots(h2)
     for nodes, e in reversed(list(h2.row_basis.mats.groups())):
         if e.size:
@@ -691,8 +712,7 @@ def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
 
 def dense_apply(h2: H2Matrix, x) -> np.ndarray:
     """Contribution of the dense (inadmissible leaf) blocks."""
-    ys = _block_apply(h2.blocks.dense, _to_sorted(h2, x), h2.octree.starts, h2.n)
-    return _to_original(h2, ys)
+    return _to_original(h2, h2.dense_plan.apply(_to_sorted(h2, x), h2.n))
 
 
 def matvec(h2: H2Matrix, x) -> np.ndarray:

@@ -20,7 +20,7 @@ the rebuilt tree.  The packed basis, coupling and dense data are not
 scanned; ``h2fmm matvec`` rejects a product that is not finite.  The
 packed shape groups are rebuilt from the tree, block partition and
 ranks, which must imply the stored data lengths.  A read-back
-reproduces the matrix bit for bit.
+reproduces the matrix bit for bit; apply plans are not stored.
 """
 from __future__ import annotations
 

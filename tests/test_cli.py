@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from h2fmm.cli import main
-from h2fmm.h2io import VERSION
+from h2fmm.h2 import matvec
+from h2fmm.h2io import VERSION, load_h2
 
 
 def run(args):
@@ -162,6 +164,31 @@ def test_matvec_deterministic_output(compressed, tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_matvec_phase_timings(compressed, tmp_path):
+    # The phases are timed one by one; the report outside "timings" and
+    # the output vector stay exactly those of one matvec call.
+    container, _ = compressed
+    reports, outs = [], []
+    for k in range(2):
+        out, summary = tmp_path / f"y{k}.csv", tmp_path / f"mv{k}.json"
+        flags = ["--seed", "7", "--no-oracle", "--out", str(out), "--summary", str(summary)]
+        assert run(["matvec", "--matrix", str(container)] + flags) == 0
+        reports.append(json.loads(summary.read_text()))
+        outs.append(out.read_bytes())
+    timings = [r.pop("timings") for r in reports]
+    assert reports[0] == reports[1] and outs[0] == outs[1]
+    m = load_h2(container)
+    x = np.random.Generator(np.random.PCG64(7)).standard_normal(m.n)
+    assert outs[0] == "".join(f"{float(v)!r}\n" for v in matvec(m, x)).encode()
+    phases = ("dense", "upsweep", "coupling", "downsweep")
+    for t in timings:
+        assert set(t) == {"matvec_s"} | {f"{p}_{u}" for p in phases for u in ("s", "gmacs")}
+        assert t["matvec_s"] == sum(t[f"{p}_s"] for p in phases)
+        for p in phases:
+            assert t[f"{p}_s"] > 0
+            assert t[f"{p}_gmacs"] == reports[0]["flops"][p] / t[f"{p}_s"] / 1e9
 
 
 def test_matvec_deterministic_flag_removed(compressed, tmp_path, capsys):

@@ -8,6 +8,7 @@ from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, generate
 from h2fmm.h2 import (
     _admissible,
+    _to_original,
     build_block_tree,
     compress,
     coupling,
@@ -18,10 +19,11 @@ from h2fmm.h2 import (
     storage_report,
     upsweep,
 )
+from h2fmm.h2io import load_h2, save_h2
 from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block
 from h2fmm.morton import MAX_LEVEL
 from h2fmm.tree import _ranges_concat, balance_2to1, build_tree
-from h2_views import explicit_bases, far_partners
+from h2_views import block_apply, explicit_bases, far_partners
 
 LAPLACE = KernelSpec("laplace3d", regularization=1e-2)
 
@@ -214,6 +216,37 @@ def test_matvec_dimension_error(h2_512):
         matvec(h2_512, np.zeros(511))
 
 
+@pytest.fixture(scope="module")
+def h2_600():
+    return compress(build_tree(generate(DistributionSpec("random-cube", 600, seed=1)), 16), LAPLACE)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_reduced_vector_length_rejected(h2_600, delta):
+    size = int(h2_600.row_basis.offsets[-1])
+    with pytest.raises(ValueError, match="x_hat must be real of shape"):
+        coupling(h2_600, np.zeros(size + delta))
+    with pytest.raises(ValueError, match="y_hat must be real of shape"):
+        downsweep(h2_600, np.zeros(size + delta))
+
+
+def test_wrong_shape_and_complex_vectors_rejected(h2_600):
+    n, size = h2_600.n, int(h2_600.row_basis.offsets[-1])
+    for phase in (matvec, upsweep, dense_apply):
+        with pytest.raises(ValueError, match="complex128"):
+            phase(h2_600, np.ones(n) + 1j)
+        with pytest.raises(ValueError, match=r"\(600, 1\)"):
+            phase(h2_600, np.ones((n, 1)))
+    with pytest.raises(ValueError, match="x_hat must be real"):
+        coupling(h2_600, np.zeros(size, dtype=complex))
+    with pytest.raises(ValueError, match="y_hat must be real"):
+        downsweep(h2_600, np.zeros(size, dtype=complex))
+    # A real vector of any numeric dtype is still taken, as float64.
+    x = np.arange(n)
+    assert np.array_equal(matvec(h2_600, x), matvec(h2_600, x.astype(float)))
+    assert np.array_equal(matvec(h2_600, x.tolist()), matvec(h2_600, x.astype(float)))
+
+
 def test_upsweep_matches_explicit_bases(h2_512):
     t = h2_512.octree
     rng = np.random.default_rng(2)
@@ -267,6 +300,57 @@ def test_phase_decomposition_exact(h2_512):
     full = matvec(h2_512, x)
     parts = dense_apply(h2_512, x) + downsweep(h2_512, coupling(h2_512, upsweep(h2_512, x)))
     assert np.array_equal(full, parts)
+
+
+def assert_phases_match_reference(m, x):
+    """``coupling`` and ``dense_apply`` bitwise equal to the per-call block apply."""
+    xhat = upsweep(m, x)
+    ref = block_apply(m.blocks.coupling, xhat, m.row_basis.offsets, len(xhat), both_ways=True)
+    assert np.array_equal(coupling(m, xhat), ref)
+    xs = np.asarray(x, dtype=np.float64)[m.octree.order]
+    ref = _to_original(m, block_apply(m.blocks.dense, xs, m.octree.starts, m.n))
+    assert np.array_equal(dense_apply(m, x), ref)
+
+
+ORACLE_KERNELS = (LAPLACE, KernelSpec("one"), KernelSpec("gaussian", sigma=0.3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 32),
+    balanced=st.booleans(),
+    kernel=st.sampled_from(ORACLE_KERNELS),
+)
+def test_apply_plan_matches_per_call_reference(tmp_path_factory, kind, n, seed, leaf_capacity, balanced, kernel):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    m = compress(tree, kernel, eps=1e-6)
+    path = tmp_path_factory.mktemp("plan") / "m.h2"
+    save_h2(m, path)
+    before = path.read_bytes()
+    loaded = load_h2(path)
+    rng = np.random.default_rng(seed)
+    for a in (m, loaded):
+        for _ in range(2):  # the call that builds the plan, then one that reuses it
+            assert_phases_match_reference(a, rng.standard_normal(n))
+    x = rng.standard_normal(n)
+    assert np.array_equal(matvec(loaded, x), matvec(m, x))
+    save_h2(m, path)
+    assert path.read_bytes() == before
+    save_h2(loaded, path)
+    assert path.read_bytes() == before
+
+
+def test_apply_plan_empty_coupling_store():
+    # N at most the leaf capacity: one leaf, no low-rank block.
+    m = compress(build_tree(generate(DistributionSpec("plummer", 9, seed=2)), 16), LAPLACE)
+    assert m.blocks.coupling.data.size == 0
+    for _ in range(2):
+        assert_phases_match_reference(m, np.arange(9.0))
 
 
 def test_dense_and_downsweep_match_per_block_loops(h2_512):
