@@ -191,6 +191,11 @@ def cmd_matvec(args) -> int:
     _check_writable(args.out, args.summary)
     h2 = load_h2(args.matrix)
     n = h2.n
+    if args.oracle and n > oracle_limit():
+        raise OracleScaleError(
+            f"dense oracle refused for N={n} > {oracle_limit()}; "
+            "pass --no-oracle or raise H2FMM_ORACLE_MAX"
+        )
     rng = np.random.Generator(np.random.PCG64(args.seed))
     if args.x:
         try:
@@ -232,11 +237,6 @@ def cmd_matvec(args) -> int:
         "timings": timings,
     }
     if args.oracle:
-        if n > oracle_limit():
-            raise OracleScaleError(
-                f"dense oracle refused for N={n} > {oracle_limit()}; "
-                "pass --no-oracle or raise H2FMM_ORACLE_MAX"
-            )
         t0 = time.perf_counter()
         ref = dense_matrix(h2.octree.particles, h2.kernel) @ x[h2.octree.order]
         y_ref = np.zeros(n)

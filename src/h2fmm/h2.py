@@ -5,10 +5,12 @@ at octree leaves, interlevel transfer matrices at interior nodes, small
 coupling matrices on admissible (low-rank) blocks of the block tree, and
 raw dense blocks for inadmissible leaf-level pairs.  The kernels are
 symmetric, so one basis serves rows and columns (U = V), S_ji = S_ij^T,
-and each admissible pair is stored once, as S_ij with i < j.  The basis,
-coupling and dense blocks are each packed into one array of shape groups
-(:class:`Packed`); a matvec phase is one batched product per group, and
-the first coupling and dense calls build and keep an :class:`ApplyPlan`.
+and each admissible pair is stored once, as S_ij with i < j.  The basis
+is packed into one array of shape groups (:class:`Packed`), and the
+upsweep and downsweep make one batched product per group.  The coupling
+and dense blocks are stored by block row (:class:`BlockRows`): their
+phases make one gather and one or two vector-matrix products per row
+node, each reading that node's blocks as one matrix.
 
 Bases are built bottom-up over skeleton points.  A node's rows are its
 particles at a leaf, or its children's skeleton points; its columns are
@@ -70,14 +72,25 @@ def _admissible(lo_a, sa, lo_b, sb, eta):
     return diam2 <= eta * eta * _box_gap2(lo_a, sa, lo_b, sb)
 
 
+def _group(keys):
+    """Items grouped by equal rows of ``keys``: ``(perm, ptr)``, group g being
+    items ``perm[ptr[g]:ptr[g + 1]]``.  Groups run in lexicographic key
+    order, and items keep their input order within a group."""
+    perm = np.lexsort(keys.T[::-1])
+    key = keys[perm]
+    first = np.ones(len(perm), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    return perm, np.append(np.flatnonzero(first), len(perm))
+
+
 @dataclass
 class Packed:
     """Small matrices stored back to back in one array, grouped by shape.
 
-    Item t belongs to ``ids[t]``: a node, or a (row, col) node pair.
-    Group g holds items ``ptr[g]:ptr[g + 1]``, all of shape ``shapes[g]``
-    and stored row-major one after another, so :meth:`groups` views each
-    group as a (count, rows, cols) array without copying.
+    Item t belongs to node ``ids[t]``.  Group g holds items
+    ``ptr[g]:ptr[g + 1]``, all of shape ``shapes[g]`` and stored row-major
+    one after another, so :meth:`groups` views each group as a (count,
+    rows, cols) array without copying.
     """
 
     ids: np.ndarray
@@ -90,16 +103,11 @@ class Packed:
         """Uninitialised storage, items grouped by equal rows of ``keys``.
 
         The last two columns of ``keys`` are each item's (rows, cols); any
-        columns before them only order the groups.  Items keep their input
-        order within a group.
+        columns before them only order the groups.
         """
-        perm = np.lexsort(keys.T[::-1])
-        key = keys[perm]
-        first = np.ones(len(perm), dtype=bool)
-        first[1:] = (key[1:] != key[:-1]).any(axis=1)
-        size = int((key[:, -2] * key[:, -1]).sum())
-        ptr = np.append(np.flatnonzero(first), len(perm))
-        return cls(ids[perm], ptr, key[first, -2:], np.empty(size))
+        perm, ptr = _group(keys)
+        size = int((keys[:, -2] * keys[:, -1]).sum())
+        return cls(ids[perm], ptr, keys[perm[ptr[:-1]], -2:], np.empty(size))
 
     def groups(self):
         """(ids, matrices) per group, matrices being a (count, rows, cols) view."""
@@ -109,6 +117,75 @@ class Packed:
             size = (hi - lo) * r * c
             yield self.ids[lo:hi], self.data[off : off + size].reshape(hi - lo, r, c)
             off += size
+
+
+@dataclass
+class BlockRows:
+    """Blocks B_ij of node pairs (i, j), stored one matrix per row node.
+
+    Node n's slot in a vector is ``starts[n]:starts[n] + widths[n]``.  The
+    pairs are sorted by row node; row node i's matrix stacks the B_ij^T of
+    its pairs, in pair order, into one row-major (sum of widths[j],
+    widths[i]) array, and these lie back to back in ``data`` (uninitialised
+    if not given).  Pair t's block starts at ``data[offsets[t]]``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    widths: np.ndarray
+    data: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.widths = self.widths.astype(np.int64)
+        self.offsets = np.append(0, np.cumsum(self.widths[self.rows] * self.widths[self.cols]))
+        self.data = np.empty(int(self.offsets[-1])) if self.data is None else self.data
+
+    def fill(self, cost, blocks):
+        """Write each pair's block, one chunk of a shape group at a time.
+
+        ``blocks(i, j, rows, cols)`` gives the (count, rows, cols) blocks of
+        pairs (i, j) of one shape; a chunk holds at most
+        ``_CHUNK_ELEMENTS // cost(rows, cols)`` pairs, in pair order.
+        """
+        shapes = np.stack([self.widths[self.rows], self.widths[self.cols]], axis=1)
+        perm, ptr = _group(shapes)
+        for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
+            r, c = shapes[perm[lo]].tolist()
+            step = max(1, _CHUNK_ELEMENTS // cost(r, c))
+            at = np.arange(r)[:, None] + r * np.arange(c)  # where B[a, b] lies in B^T
+            for t in (perm[a : min(a + step, hi)] for a in range(lo, hi, step)):
+                self.data[self.offsets[t][:, None, None] + at] = blocks(self.rows[t], self.cols[t], r, c)
+
+    @cached_property
+    def _plan(self):
+        """The partners' slots in pair order and, per row node, its matrix,
+        its span of those slots and its own slot; built on first use."""
+        w, cut = self.widths, np.flatnonzero(np.diff(self.rows, prepend=-1, append=-1))
+        cat = np.append(0, np.cumsum(w[self.cols]))[cut].tolist()
+        end, node = self.offsets[cut].tolist(), self.rows[cut[:-1]]
+        rows = [
+            (self.data[d0:d1].reshape(c1 - c0, r), slice(c0, c1), slice(s, s + r))
+            for c0, c1, d0, d1, r, s in zip(
+                cat, cat[1:], end, end[1:], w[node].tolist(), self.starts[node].tolist()
+            )
+        ]
+        return _ranges_concat(self.starts[self.cols], w[self.cols]), rows
+
+    def apply(self, x, size, both_ways=False) -> np.ndarray:
+        """Sum of B_ij x_j into slot i over the pairs, in a vector of ``size``.
+
+        Both ways, each B_ij^T x_i is also added into slot j, by one
+        ``bincount`` over the gathered partner slots.
+        """
+        gather, rows = self._plan
+        g, y = x[gather], np.zeros(size)
+        t = np.empty(len(gather)) if both_ways else None
+        for b, cat, slot in rows:
+            np.matmul(g[cat], b, out=y[slot])
+            if both_ways:
+                np.matmul(b, x[slot], out=t[cat])
+        return y + np.bincount(gather, t, minlength=size) if both_ways else y
 
 
 @dataclass
@@ -124,8 +201,8 @@ class BlockTree:
     lr_col: np.ndarray
     dense_row: np.ndarray
     dense_col: np.ndarray
-    coupling: Packed | None = None
-    dense: Packed | None = None
+    coupling: BlockRows | None = None
+    dense: BlockRows | None = None
 
     @property
     def n_lowrank(self) -> int:
@@ -223,14 +300,6 @@ class H2Matrix:
     @property
     def n(self) -> int:
         return self.octree.n_particles
-
-    @cached_property
-    def coupling_plan(self) -> ApplyPlan:
-        return ApplyPlan(self.blocks.coupling, self.row_basis.offsets, both_ways=True)
-
-    @cached_property
-    def dense_plan(self) -> ApplyPlan:
-        return ApplyPlan(self.blocks.dense, self.octree.starts)
 
     def flagged_nodes(self) -> list:
         """(node, tail) of nodes whose rank cap left a truncation tail above eps."""
@@ -460,46 +529,43 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree, eta):
 
 
 def _storage(tree: Octree, blocks: BlockTree, ranks):
-    """Empty packed basis, coupling and dense storage.
+    """Empty basis, coupling and dense storage.
 
-    Their items are the nodes, grouped deepest level first; the low-rank
-    pairs i < j; and the dense pairs.
+    The basis items are the nodes, grouped deepest level first; the
+    coupling pairs are the low-rank pairs i < j, and the dense pairs all
+    dense pairs, both in block tree order.
     """
     off = np.concatenate([[0], np.cumsum(ranks, dtype=np.int64)])
     end = tree.child_start.astype(np.int64) + tree.child_count
     rows = np.where(tree.is_leaf, tree.counts, off[end] - off[tree.child_start])
+    keys = np.stack([-tree.levels.astype(np.int64), rows, ranks], axis=1).astype(np.int64)
     upper = blocks.lr_row < blocks.lr_col
-    items = (
-        np.arange(tree.n_nodes),
-        np.stack([blocks.lr_row[upper], blocks.lr_col[upper]], axis=1),
-        np.stack([blocks.dense_row, blocks.dense_col], axis=1),
+    return (
+        Packed.allocate(np.arange(tree.n_nodes), keys),
+        BlockRows(blocks.lr_row[upper], blocks.lr_col[upper], off[:-1], ranks),
+        BlockRows(blocks.dense_row, blocks.dense_col, tree.starts, tree.counts),
     )
-    deepest_first = -tree.levels.astype(np.int64)
-    keys = (np.stack([deepest_first, rows, ranks], axis=1), ranks[items[1]], tree.counts[items[2]])
-    return [Packed.allocate(ids, k.astype(np.int64)) for ids, k in zip(items, keys)]
 
 
-def _fill_dense(packed, kernel, tree: Octree):
+def _fill_dense(store, kernel, tree: Octree):
     """Write the kernel block K(i, j) of each dense pair.
 
-    A chunk of a shape group is one batched kernel call over the pairs'
-    gathered leaf points.
+    A chunk is one batched kernel call over the pairs' gathered leaf points.
     """
     pos, starts = tree.particles.positions, tree.starts
-    for ij, out in packed.groups():
-        ni, nj = out.shape[1:]
-        step = max(1, _CHUNK_ELEMENTS // (ni * nj))
-        for lo in range(0, len(ij), step):
-            i, j = starts[ij[lo : lo + step, 0]], starts[ij[lo : lo + step, 1]]
-            out[lo : lo + step] = kernel_block(kernel, pos[_spans(i, ni)], pos[_spans(j, nj)])
+
+    def blocks(i, j, ni, nj):
+        return kernel_block(kernel, pos[_spans(starts[i], ni)], pos[_spans(starts[j], nj)])
+
+    store.fill(lambda ni, nj: ni * nj, blocks)
 
 
-def _fill_coupling(packed, kernel, skel, gmat, ranks):
+def _fill_coupling(store, kernel, skel, gmat, ranks):
     """Write S_ij = G_i K(s_i, s_j) G_j^T of each stored pair.
 
     Each node's skeletons are padded to rank + 2 points, the padding
     weighted by zero columns of G, and stacked with those of the nodes of
-    equal rank, so a chunk of a shape group is one batched kernel call.
+    equal rank, so a chunk is one batched kernel call.
     """
     slot = np.zeros(len(ranks), dtype=np.int64)
     pts, gs = {}, {}
@@ -511,13 +577,12 @@ def _fill_coupling(packed, kernel, skel, gmat, ranks):
             w = len(skel[n])
             pts[r][t, :w], pts[r][t, w:] = skel[n], skel[n][0]
             gs[r][t, :, :w] = gmat[n]
-    for ij, out in packed.groups():
-        ri, rj = out.shape[1:]
-        step = max(1, _CHUNK_ELEMENTS // ((ri + 2) * (rj + 2)))
-        for lo in range(0, len(ij), step):
-            i, j = slot[ij[lo : lo + step, 0]], slot[ij[lo : lo + step, 1]]
-            k = kernel_block(kernel, pts[ri][i], pts[rj][j])
-            out[lo : lo + step] = np.matmul(np.matmul(gs[ri][i], k), gs[rj][j].transpose(0, 2, 1))
+
+    def blocks(i, j, ri, rj):
+        k = kernel_block(kernel, pts[ri][slot[i]], pts[rj][slot[j]])
+        return np.matmul(np.matmul(gs[ri][slot[i]], k), gs[rj][slot[j]].transpose(0, 2, 1))
+
+    store.fill(lambda ri, rj: (ri + 2) * (rj + 2), blocks)
 
 
 def check_parameters(kernel: KernelSpec, eps, eta, max_rank) -> None:
@@ -622,40 +687,6 @@ def _spans(starts, width) -> np.ndarray:
     return starts[:, None] + np.arange(width)
 
 
-class ApplyPlan:
-    """Scatter indices of a packed store, built once: block B of pair (i, j)
-    adds B x_j to slot i, slot n starting at ``starts[n]``.  Per group,
-    (blocks, v, w): B reads ``x[gather][w]`` into ``values[v]`` and each B^T
-    (``both_ways``) reads ``x[gather][v]`` into ``values[w]``, so one array
-    is ``targets`` and ``gather``.  Value t is summed into ``targets[t]``."""
-
-    def __init__(self, packed, starts, both_ways=False):
-        count = np.diff(packed.ptr)
-        size = count[:, None] * packed.shapes  # entries per group: rows, columns
-        lo, width = starts[packed.ids], np.repeat(packed.shapes, count, axis=0)
-        if both_ways:  # (group, side, item) order: a group's rows, then its columns
-            side = np.repeat(2 * np.arange(len(count)), count)[:, None] + np.arange(2)
-            order = np.argsort(side.T.ravel(), kind="stable")
-            self.targets = self.gather = _ranges_concat(lo.T.ravel()[order], width.T.ravel()[order])
-            end = np.cumsum(size.ravel()).reshape(-1, 2)
-        else:
-            self.targets, self.gather = (_ranges_concat(lo[:, k], width[:, k]) for k in (0, 1))
-            end = np.cumsum(size, axis=0)
-        bounds = np.stack([end - size, end], axis=2).tolist()
-        self.groups = [(b, slice(*v), slice(*w)) for (_, b), (v, w) in zip(packed.groups(), bounds)]
-        self.both_ways = both_ways
-
-    def apply(self, x, size) -> np.ndarray:
-        """Sum of B x_j into slot i over the blocks, in a vector of ``size``."""
-        g, values = x[self.gather], np.empty(len(self.targets))
-        for b, v, w in self.groups:
-            n, r, c = b.shape
-            np.matmul(b, g[w].reshape(n, c)[:, :, None], out=values[v].reshape(n, r, 1))
-            if self.both_ways:
-                np.matmul(g[v].reshape(n, r)[:, None, :], b, out=values[w].reshape(n, 1, c))
-        return np.bincount(self.targets, values, minlength=size)
-
-
 def _basis_slots(h2: H2Matrix):
     """Per node: where its basis input and its reduced vector start in [x ; x_hat].
 
@@ -691,7 +722,7 @@ def coupling(h2: H2Matrix, xhat) -> np.ndarray:
     node j.
     """
     size = int(h2.row_basis.offsets[-1])
-    return h2.coupling_plan.apply(_vector(xhat, size, "x_hat"), size)
+    return h2.blocks.coupling.apply(_vector(xhat, size, "x_hat"), size, both_ways=True)
 
 
 def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
@@ -712,7 +743,7 @@ def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
 
 def dense_apply(h2: H2Matrix, x) -> np.ndarray:
     """Contribution of the dense (inadmissible leaf) blocks."""
-    return _to_original(h2, h2.dense_plan.apply(_to_sorted(h2, x), h2.n))
+    return _to_original(h2, h2.blocks.dense.apply(_to_sorted(h2, x), h2.n))
 
 
 def matvec(h2: H2Matrix, x) -> np.ndarray:

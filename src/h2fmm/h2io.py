@@ -1,10 +1,10 @@
-"""Binary container for compressed matrices, format version 3.
+"""Binary container for compressed matrices, format version 4.
 
 Layout (little-endian; see the README): magic b"H2FM", u32 version, u64
 header length, a JSON header (kernel, tolerances, sizes) space-padded so
 the arrays start 8-byte aligned, then the arrays of :func:`_layout`, raw
 and back to back.  The header fixes every array's dtype and length, so a
-truncated file, trailing bytes or another version (1 and 2 included)
+truncated file, trailing bytes or any other version (1 to 3 included)
 raise :class:`ContainerError`.
 
 The octree is not stored.  The particles are, in the order the tree was
@@ -16,11 +16,12 @@ not an integer >= 1, a ``balanced`` that is not a bool, a kernel,
 ``eps``, ``eta`` or ``max_rank`` that :func:`compress` would refuse, a
 tail that is not finite or below 0, and a node count other than the
 rebuilt tree's are rejected; so are ranks and block ids that do not fit
-the rebuilt tree.  The packed basis, coupling and dense data are not
-scanned; ``h2fmm matvec`` rejects a product that is not finite.  The
-packed shape groups are rebuilt from the tree, block partition and
-ranks, which must imply the stored data lengths.  A read-back
-reproduces the matrix bit for bit; apply plans are not stored.
+the rebuilt tree, and block pairs not sorted by row node.  The basis,
+coupling and dense data are not scanned; ``h2fmm matvec`` rejects a
+product that is not finite.  The basis shape groups and the block-row
+layout of the coupling and dense data are rebuilt from the tree, block
+partition and ranks, which must imply the stored data lengths.  A
+read-back reproduces the matrix bit for bit; gather arrays are not stored.
 """
 from __future__ import annotations
 
@@ -39,11 +40,11 @@ from .kernels import KernelSpec
 from .tree import balance_2to1, build_tree
 
 MAGIC = b"H2FM"
-VERSION = 3
+VERSION = 4
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 
 _BLOCKS = ("lr_row", "lr_col", "dense_row", "dense_col")
-_PACKED = ("basis", "coupling", "dense")
+_STORES = ("basis", "coupling", "dense")
 
 
 def _layout(h):
@@ -71,7 +72,7 @@ def _layout(h):
 def save_h2(h2: H2Matrix, path) -> None:
     """Serialize the compressed matrix to the binary container."""
     tree, blocks = h2.octree, h2.blocks
-    packed = (h2.row_basis.mats, blocks.coupling, blocks.dense)
+    stores = (h2.row_basis.mats, blocks.coupling, blocks.dense)
     header = {
         "kernel": dataclasses.asdict(h2.kernel),
         "eps": h2.eps,
@@ -83,10 +84,10 @@ def save_h2(h2: H2Matrix, path) -> None:
         "balanced": tree.balanced,
         "n_lowrank": blocks.n_lowrank,
         "n_dense": blocks.n_dense,
-        **{name + "_size": p.data.size for name, p in zip(_PACKED, packed)},
+        **{name + "_size": p.data.size for name, p in zip(_STORES, stores)},
     }
     arrays = {name: getattr(blocks, name) for name in _BLOCKS}
-    arrays.update({name: p.data for name, p in zip(_PACKED, packed)})
+    arrays.update({name: p.data for name, p in zip(_STORES, stores)})
     particles = tree.particles.take(np.argsort(tree.order))  # as build_tree received them
     arrays.update(positions=particles.positions, charges=particles.charges,
                   indices=particles.indices, ranks=h2.row_basis.ranks, tails=h2.row_basis.tails)
@@ -156,24 +157,26 @@ def decode(buf) -> H2Matrix:
     _require(((ranks >= 0) & (ranks <= tree.counts)).all(), "ranks out of range")
     ids = np.concatenate([arrays[name] for name in _BLOCKS])
     _require(((ids >= 0) & (ids < nodes)).all(), "block node ids out of range")
+    for name in ("lr_row", "dense_row"):
+        _require((np.diff(arrays[name]) >= 0).all(), f"{name} must be sorted by row node")
     try:
         blocks = BlockTree(*(arrays[name] for name in _BLOCKS))
-        packed = _storage(tree, blocks, ranks)
+        stores = _storage(tree, blocks, ranks)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ContainerError(f"inconsistent container: {exc!r}") from exc
-    for p, name in zip(packed, _PACKED):
+    for p, name in zip(stores, _STORES):
         held = arrays[name].size
         _require(
             p.data.size == held, f"{name} data holds {held} reals; the tree implies {p.data.size}"
         )
         p.data = arrays[name]
-    blocks.coupling, blocks.dense = packed[1:]
+    blocks.coupling, blocks.dense = stores[1:]
     return H2Matrix(
         octree=tree,
         kernel=kernel,
         eps=eps,
         eta=eta,
         max_rank=max_rank,
-        row_basis=BasisTree(ranks=ranks, tails=tails, mats=packed[0]),
+        row_basis=BasisTree(ranks=ranks, tails=tails, mats=stores[0]),
         blocks=blocks,
     )

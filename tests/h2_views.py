@@ -1,8 +1,8 @@
 """Test-only views of an H2 matrix: dense node bases, whole far fields,
-and the per-call block apply that the matrix's apply plan replaced."""
+the blocks read one by one out of their block rows, and a per-block apply."""
 import numpy as np
 
-from h2fmm.h2 import _far_boxes, _spans
+from h2fmm.h2 import _far_boxes
 
 
 def far_partners(tree, blocks):
@@ -24,20 +24,23 @@ def explicit_bases(tree, basis):
     return out
 
 
-def block_apply(packed, x, starts, size, both_ways=False) -> np.ndarray:
+def stored_blocks(store):
+    """(i, j, B_ij) of every stored pair, in pair order, read out of its block row."""
+    off, w = store.offsets, store.widths
+    for t, (i, j) in enumerate(zip(store.rows.tolist(), store.cols.tolist())):
+        yield i, j, store.data[off[t] : off[t + 1]].reshape(w[j], w[i]).T
+
+
+def block_apply(store, x, size, both_ways=False) -> np.ndarray:
     """Sum of B x_j into slot i over the stored blocks B of pairs (i, j).
 
-    With ``both_ways`` each block also adds B^T x_i into slot j.  Slot n
-    of ``x`` and of the result starts at ``starts[n]``.  Contributions are
-    summed in storage order, so the result is reproducible.
+    With ``both_ways`` each block also adds B^T x_i into slot j.  One
+    product per block, accumulated in pair order.
     """
-    idx, val = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for ij, b in packed.groups():
-        ii = _spans(starts[ij[:, 0]], b.shape[1])
-        jj = _spans(starts[ij[:, 1]], b.shape[2])
-        idx.append(ii.ravel())
-        val.append(np.matmul(b, x[jj][:, :, None]).ravel())
+    y, s = np.zeros(size), store.starts
+    for i, j, b in stored_blocks(store):
+        si, sj = slice(s[i], s[i] + b.shape[0]), slice(s[j], s[j] + b.shape[1])
+        y[si] += b @ x[sj]
         if both_ways:
-            idx.append(jj.ravel())
-            val.append(np.matmul(x[ii][:, None, :], b).ravel())
-    return np.bincount(np.concatenate(idx), np.concatenate(val), minlength=size)
+            y[sj] += b.T @ x[si]
+    return y

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from h2fmm import cli
 from h2fmm.cli import main
 from h2fmm.h2 import matvec
 from h2fmm.h2io import VERSION, load_h2
@@ -302,10 +303,15 @@ def test_list_flags_rejected(tmp_path, capsys, flag, args):
 
 
 def test_matvec_oracle_guard_exit_code(compressed, tmp_path, monkeypatch):
+    # The guard refuses right after the load, before any matvec phase runs.
     container, _ = compressed
     monkeypatch.setenv("H2FMM_ORACLE_MAX", "100")
+    called = []
+    for phase in ("dense_apply", "upsweep", "coupling", "downsweep"):
+        monkeypatch.setattr(cli, phase, lambda *args, phase=phase: called.append(phase))
     rc = run(["matvec", "--matrix", str(container), "--summary", str(tmp_path / "g.json")])
     assert rc == 3
+    assert called == []
 
 
 def _usage_error(capsys):

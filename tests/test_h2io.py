@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -51,8 +52,8 @@ def test_container_roundtrip_bitwise(small_h2, tmp_path):
         (back.blocks.dense, small_h2.blocks.dense),
     )
     for a, b in pairs:
-        for field in ("ids", "ptr", "shapes", "data"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
     rng = np.random.default_rng(0)
     x = rng.standard_normal(small_h2.n)
     assert np.array_equal(matvec(back, x), matvec(small_h2, x))
@@ -75,12 +76,17 @@ def test_magic_and_version_checks(small_h2, tmp_path):
         load_h2(bad2)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_version_1_rejected(tiny_container, version):
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_version_1_rejected(tiny_container, tmp_path, capsys, version):
     raw = bytearray(tiny_container)
     raw[4:8] = version.to_bytes(4, "little")
     with pytest.raises(ContainerError, match=f"version {version}"):
         decode(raw)
+    path = tmp_path / "old.h2"
+    path.write_bytes(raw)
+    assert main(["matvec", "--matrix", str(path), "--no-oracle", "--summary", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"version {version}" in err and err.count("\n") == 1
 
 
 def _header(raw):
@@ -199,6 +205,8 @@ CORRUPT = {
     "sigma-true": dict(header=lambda head: {"kernel": dict(head["kernel"], sigma=True)}),
     "nan-tail": dict(tails=_set(0, np.nan)),
     "negative-tail": dict(tails=_set(1, -1.0)),
+    "lr-unsorted": dict(lr_row=np.flip, lr_col=np.flip),
+    "dense-unsorted": dict(dense_row=np.flip, dense_col=np.flip),
 }
 
 
