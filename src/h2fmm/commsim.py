@@ -73,12 +73,10 @@ def partition_sfc(tree: Octree, P: int) -> Partition:
     n = tree.n_particles
     targets = np.arange(1, P) * (n / P)
     raw = np.searchsorted(cum, targets, side="left") + 1
-    cuts = np.empty(P - 1, dtype=np.int64)
-    prev = 0
-    for j in range(P - 1):
-        c = max(int(raw[j]), prev + 1)  # at least one leaf per process
-        c = min(c, n_leaves - (P - 1 - j))  # leave room for the rest
-        cuts[j] = prev = c
+    # Cut j is at least one past cut j - 1 and leaves room for the P - 1 - j
+    # processes after it: in cuts - j, a running max clipped at one bound.
+    j = np.arange(P - 1)
+    cuts = np.minimum(np.maximum.accumulate(raw - j), n_leaves - P + 1) + j
     ptr = np.concatenate([[0], cuts, [n_leaves]]).astype(np.int64)
     leaf_process = np.repeat(np.arange(P, dtype=np.int32), np.diff(ptr))
     pcounts = np.add.reduceat(counts, ptr[:-1]) if n_leaves else np.zeros(P, np.int64)
@@ -114,7 +112,7 @@ class GlobalLocalSplit:
     L_global: int
     sim_depth: int
     local_roots: list  # per process, node ids in Morton order
-    locator: CellLocator  # the tree's cell locator, shared by the phases of one run
+    locator: CellLocator  # the tree's colleague table, built once and shared by the phases of one run
 
     @property
     def global_nodes(self) -> np.ndarray:

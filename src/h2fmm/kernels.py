@@ -84,8 +84,11 @@ def kernel_block(spec: KernelSpec, points_a, points_b) -> np.ndarray:
 
 
 def oracle_limit() -> int:
-    """Dense-oracle size guard, overridable via H2FMM_ORACLE_MAX."""
-    return int(os.environ.get(ORACLE_MAX_ENV, DEFAULT_ORACLE_MAX))
+    """Dense-oracle size guard, overridable via H2FMM_ORACLE_MAX (an integer >= 0)."""
+    text = os.environ.get(ORACLE_MAX_ENV, str(DEFAULT_ORACLE_MAX))
+    if not text.strip().isdecimal():
+        raise ConfigurationError(f"{ORACLE_MAX_ENV} must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def dense_matrix(particles: ParticleSet, kernel: KernelSpec) -> np.ndarray:

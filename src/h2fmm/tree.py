@@ -223,15 +223,15 @@ def build_tree(particles: ParticleSet, leaf_capacity: int = DEFAULT_LEAF_CAPACIT
 def _mark_for_balance(tree: Octree):
     """Flag leaves (leaf-table positions) at least two levels coarser than an adjacent leaf.
 
-    Each leaf at level l >= 2 locates its 26 same-level neighbour cells; a
-    node found there at level <= l - 2 can only be a leaf covering the cell.
+    Each leaf looks up its 26 same-level neighbour cells in one call over
+    all leaves; a node found there two or more levels above the leaf that
+    looked can only be a leaf covering the cell.
     """
     loc = CellLocator(tree)
-    levels = tree.levels[tree.leaf_ids]
+    lv = tree.levels[tree.leaf_ids]
     mark = np.zeros(tree.n_nodes + 1, dtype=bool)  # [-1] absorbs the empty cell
-    for level in range(2, tree.depth + 1):
-        for node in loc.neighbours(level, tree.leaf_ids[levels == level], 1):
-            mark[node[loc.levels[node] <= level - 2]] = True
+    for node in loc.neighbours(tree.leaf_ids, 1):
+        mark[node[loc.levels[node] <= lv - 2]] = True
     return mark[tree.leaf_ids]
 
 
@@ -273,23 +273,20 @@ def balance_2to1(tree: Octree) -> Octree:
     return assemble(tree.keys[tree.leaf_ids], tree.levels[tree.leaf_ids]) if out is tree else out
 
 
-# Cell cap of the locator's deepest dense table: 2^21 int32 cells, 8 MiB.
-_LOCATOR_CELLS = 1 << 21
-
-
 class CellLocator:
-    """Pointer-free cell lookup for one tree (Sundar, Sampath and Biros, 2008).
+    """Colleague table of one tree (Carrier, Greengard and Rokhlin, 1988).
 
-    ``locate(level, (x, y, z))`` gives per cell the node stored there,
-    else the leaf covering it, else -1 (empty).  Levels 0..``top`` keep a
-    dense int32 table [x, y, z] each: the one above repeated twice per
-    axis with internal nodes blanked, then the level's nodes scattered.
-    Deeper cells descend from their level-``top`` ancestor through the
-    ``(n_nodes + 1, 2, 2, 2)`` child table, one gather per level.  Tables
-    end in two -1 slabs per axis, so cells up to two off the grid read -1.
-    ``top`` is the deepest level with at most 2^21 cells and 64 per node.
-    Nothing is cached on the tree: a commsim run builds one for all its
-    phases, and each balance sweep one for its tree.
+    Row ``row[n]`` of ``near`` holds, for node n's cell and its 26
+    same-level neighbour cells in ``itertools.product`` order (n itself in
+    the middle), the node stored there, else the leaf covering it, else
+    -1 (empty or off the grid).  Rows are kept for the root and the
+    internal nodes only, 108 bytes each; the last row, also reached
+    through ``row[-1]``, is all -1.  A cell within two of a child lies in
+    one of its parent's 27 cells, so the rows are built top-down and every
+    query is two gathers, through the parent's row and the
+    ``(n_nodes + 1, 8)`` child table.  Nothing is cached on the tree: a
+    commsim run builds one for all its phases, and each balance sweep one
+    for its tree.
     """
 
     def __init__(self, tree: Octree):
@@ -300,42 +297,35 @@ class CellLocator:
         child[:n][tree.is_leaf] = np.flatnonzero(tree.is_leaf)[:, None]
         kids = np.flatnonzero(tree.parents >= 0)
         child[tree.parents[kids], tree.keys[kids] & _U(7)] = kids
-        self.child = child.reshape(n + 1, 2, 2, 2)
+        self.child = child.ravel()
         self.levels = np.append(tree.levels, np.int8(-1))  # levels[-1]: the empty cell
-        self.top = min(tree.depth, (min(_LOCATOR_CELLS, 64 * n).bit_length() - 1) // 3)
-        inherits = np.append(tree.is_leaf, True)  # a leaf covers its cell's children
-        self.tables = [np.pad(np.zeros((1, 1, 1), np.int32), (0, 2), constant_values=-1)]
-        for level in range(1, self.top + 1):
-            s = 1 << (level - 1)
-            above = self.tables[-1][:s, :s, :s]
-            table = np.full((s + 1, 2) * 3, -1, dtype=np.int32)
-            table[:s, :, :s, :, :s] = np.where(inherits[above], above, -1)[:, None, :, None, :, None]
-            table = table.reshape((2 * s + 2,) * 3)
-            ids = tree.level_nodes(level)
-            table[tuple(decode_cells(tree.keys[ids], level).T)] = ids
-            self.tables.append(table)
+        owners = np.flatnonzero(~tree.is_leaf | (tree.parents < 0))  # node 0 is the root
+        self.row = np.full(n + 1, len(owners), dtype=np.int64)
+        self.row[owners] = np.arange(len(owners))
+        self.near = np.full((len(owners) + 1, 27), -1, dtype=np.int32)
+        self.near[0, 13] = 0
+        bounds = np.searchsorted(owners, tree.level_ptr)
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            cells = list(self.neighbours(owners[lo:hi], 1))
+            cells.insert(13, owners[lo:hi])
+            self.near[lo:hi] = np.column_stack(cells)
 
-    def locate(self, level: int, coords):
-        """Node ids of the cells ``coords = (x, y, z)`` (int arrays) at ``level``."""
-        x, y, z = coords
-        k = max(level - self.top, 0)
-        if not k:
-            return self.tables[level][x, y, z]
-        node = self.tables[self.top][x >> k, y >> k, z >> k]
-        for shift in range(k - 1, -1, -1):
-            node = self.child[node, (x >> shift) & 1, (y >> shift) & 1, (z >> shift) & 1]
-        return node
-
-    def neighbours(self, level: int, nodes, radius: int):
+    def neighbours(self, nodes, radius: int):
         """Per nonzero offset within Chebyshev ``radius`` <= 2, in
-        ``itertools.product`` order, yield ``locate`` of the cells of the
-        level-``level`` ``nodes`` moved by that offset."""
+        ``itertools.product`` order, the entry of each of ``nodes``' cells
+        moved by that offset; ``nodes`` may mix levels."""
+        tree = self.tree
         shifts = range(-radius, radius + 1)
-        # moved[axis][d]: the coordinate moved by d; off-grid cells read -1.
-        moved = [{d: c + d for d in shifts} for c in decode_cells(self.tree.keys[nodes], level).T]
-        for off in itertools.product(shifts, repeat=3):
-            if any(off):
-                yield self.locate(level, [ax[d] for ax, d in zip(moved, off)])
+        offsets = [off for off in itertools.product(shifts, repeat=3) if any(off)]
+        # Per child position b (x bit 4, y bit 2, z bit 1) and offset d, per axis
+        # s = b_axis + d: the parent's colleague s >> 1 and its child s & 1.
+        s = ((np.arange(8)[:, None, None] >> np.array([2, 1, 0])) & 1) + np.array(offsets)
+        cols, slots = ((s >> 1) + 1) @ [9, 3, 1], (s & 1) @ [4, 2, 1]
+        b = (tree.keys[nodes] & _U(7)).astype(np.intp)
+        start = self.row[tree.parents[nodes]] * 27  # a root reads the empty row
+        near = self.near.ravel()
+        for col, slot in zip(cols.T, slots.T):
+            yield self.child[near[start + col[b]] * 8 + slot[b]]
 
 
 def node_boxes(tree: Octree):
@@ -356,7 +346,7 @@ def _level_pairs(loc: CellLocator, level: int, radius: int, sources=None):
     """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius`` <= 2.
 
     ``sources``, a boolean mask over all nodes, limits ``src`` to the
-    masked nodes; they alone are decoded and looked up.
+    masked nodes; they alone are looked up.
     """
     tree = loc.tree
     lo, hi = int(tree.level_ptr[level]), int(tree.level_ptr[level + 1])
@@ -364,7 +354,7 @@ def _level_pairs(loc: CellLocator, level: int, radius: int, sources=None):
     if not len(ids):
         return np.empty(0, np.int64), np.empty(0, np.int64)
     srcs, dsts = [], []
-    for dst in loc.neighbours(level, ids, radius):
+    for dst in loc.neighbours(ids, radius):
         found = loc.levels[dst] == level
         srcs.append(ids[found])
         dsts.append(dst[found])
@@ -377,9 +367,9 @@ def leaf_adjacency_pairs(loc: CellLocator, among=None):
     ``among`` restricts both elements to the given leaf-table positions;
     by default every leaf takes part.  Box contact counts faces, edges and
     corners.  Of two touching leaves, the coarser (either, at one level)
-    is what ``locate`` returns at a same-level neighbour cell of the
-    other: each leaf keeps the leaves it locates, and the strictly
-    coarser ones are mirrored.
+    is the locator's entry at a same-level neighbour cell of the other:
+    each leaf keeps the leaves it finds there, and the strictly coarser
+    ones are mirrored.  One neighbour call covers every level.
     """
     tree = loc.tree
     n_leaves = np.int64(tree.n_leaves)
@@ -390,14 +380,13 @@ def leaf_adjacency_pairs(loc: CellLocator, among=None):
     leaf_pos = np.full(tree.n_nodes + 1, -1, dtype=np.int64)  # [-1]: the empty cell
     leaf_pos[tree.leaf_ids[among]] = among
     levels = tree.levels[tree.leaf_ids]
-    pairs = [np.empty(0, np.int64)]
-    for level in sorted_unique(levels[among]).tolist():
-        qs = among[levels[among] == level]
-        for node in loc.neighbours(level, tree.leaf_ids[qs], 1):
-            m = leaf_pos[node]
-            q, m = qs[m >= 0], m[m >= 0]
-            coarser = levels[m] < level
-            pairs += [q * n_leaves + m, m[coarser] * n_leaves + q[coarser]]
+    pairs = []
+    for node in loc.neighbours(tree.leaf_ids[among], 1):
+        m = leaf_pos[node]
+        found = m >= 0
+        q, m = among[found], m[found]
+        coarser = levels[m] < levels[q]
+        pairs += [q * n_leaves + m, m[coarser] * n_leaves + q[coarser]]
     # Same-level pairs come from both sides, and a coarse leaf can cover
     # several neighbour cells of one leaf.
     packed = sorted_unique(np.concatenate(pairs))

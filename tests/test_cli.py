@@ -314,6 +314,17 @@ def test_matvec_oracle_guard_exit_code(compressed, tmp_path, monkeypatch):
     assert called == []
 
 
+@pytest.mark.parametrize("text", ["abc", "1.5", "-1"])
+def test_matvec_bad_oracle_limit_usage_error(compressed, tmp_path, monkeypatch, capsys, text):
+    container, _ = compressed
+    monkeypatch.setenv("H2FMM_ORACLE_MAX", text)
+    rc = run(["matvec", "--matrix", str(container), "--summary", str(tmp_path / "g.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: H2FMM_ORACLE_MAX ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _usage_error(capsys):
     err = capsys.readouterr().err
     return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -87,6 +87,35 @@ def test_partition_infeasible():
         partition_sfc(t, t.n_leaves + 1)
 
 
+def _loop_cuts(tree, P):
+    """The greedy cut loop that ``partition_sfc`` replaced by a running max."""
+    cum = np.cumsum(tree.counts[tree.leaf_ids].astype(np.int64))
+    raw = np.searchsorted(cum, np.arange(1, P) * (tree.n_particles / P), side="left") + 1
+    cuts, prev = [], 0
+    for j in range(P - 1):
+        c = max(int(raw[j]), prev + 1)  # at least one leaf per process
+        c = min(c, tree.n_leaves - (P - 1 - j))  # leave room for the rest
+        cuts.append(c)
+        prev = c
+    return cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 64),
+    data=st.data(),
+)
+def test_partition_cuts_match_greedy_loop(kind, n, seed, leaf_capacity, data):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    P = data.draw(st.integers(1, tree.n_leaves), label="P")
+    part = partition_sfc(tree, P)
+    cuts = np.flatnonzero(np.diff(part.leaf_process)) + 1
+    assert cuts.tolist() == _loop_cuts(tree, P)
+
+
 # -- global/local split ------------------------------------------------------
 
 
@@ -402,7 +431,7 @@ def test_level_pairs_match_bruteforce():
     balanced=st.booleans(),
     mask_seed=st.integers(0, 2**32 - 1),
 )
-# Leaf capacity 1 on a plummer cloud: deeper than the locator's tables.
+# Leaf capacity 1 on a plummer cloud: deep trees, many levels of colleague rows.
 @example(kind="plummer", n=3000, seed=0, leaf_capacity=1, balanced=False, mask_seed=0)
 @example(kind="plummer", n=3000, seed=1, leaf_capacity=1, balanced=True, mask_seed=1)
 def test_locator_lookups_match_bruteforce(kind, n, seed, leaf_capacity, balanced, mask_seed):
@@ -412,8 +441,6 @@ def test_locator_lookups_match_bruteforce(kind, n, seed, leaf_capacity, balanced
     rng = np.random.default_rng(mask_seed)
     sources = rng.random(tree.n_nodes) < 0.5
     loc = CellLocator(tree)
-    if leaf_capacity == 1 and kind == "plummer" and n == 3000:
-        assert loc.top < tree.depth  # the child-table descent runs
     for level in range(tree.depth + 1):
         for radius in (1, 2):
             src, dst = _level_pairs(loc, level, radius, sources=sources)

@@ -65,6 +65,13 @@ def test_oracle_guard(monkeypatch):
         dense_matrix(ps, KernelSpec("one"))
 
 
+@pytest.mark.parametrize("text", ["abc", "1.5", "-1", ""])
+def test_oracle_limit_rejects_non_integers(monkeypatch, text):
+    monkeypatch.setenv("H2FMM_ORACLE_MAX", text)
+    with pytest.raises(ConfigurationError, match="H2FMM_ORACLE_MAX"):
+        oracle_limit()
+
+
 def test_unknown_kernel_kind():
     with pytest.raises(ConfigurationError):
         KernelSpec("helmholtz")

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DistributionSpec, ParticleSet, generate
-from h2fmm.morton import MAX_LEVEL, decode_cells
+from h2fmm.morton import MAX_LEVEL, decode_cells, encode_cells
 from h2fmm.tree import (
     CellLocator,
     balance_2to1,
@@ -310,6 +311,68 @@ def test_balance_matches_bruteforce_ripple(kind, n, seed, leaf_capacity):
     again = balance_2to1(tb)
     assert _leaf_digest(again) == _leaf_digest(tb)
     assert again.n_nodes == tb.n_nodes
+
+
+def _node_at(tree, level, cell):
+    key = encode_cells(np.array(cell), level)
+    return int(np.flatnonzero((tree.levels == level) & (tree.keys == key))[0])
+
+
+def test_colleague_entries_hand_built():
+    # Level-1 octant (0, 0, 0) splits into level-2 cells (0, 0, 0) and
+    # (1, 0, 0); octant (1, 0, 0) is a level-1 leaf; the other octants are empty.
+    pts = np.array([[0.1, 0.1, 0.1], [0.3, 0.1, 0.1], [0.7, 0.1, 0.1]])
+    t = build_tree(ParticleSet(pts), 1)
+    loc = CellLocator(t)
+    octant, leaf = _node_at(t, 1, (0, 0, 0)), _node_at(t, 1, (1, 0, 0))
+    a, b = _node_at(t, 2, (0, 0, 0)), _node_at(t, 2, (1, 0, 0))
+    offsets = [off for off in itertools.product(range(-2, 3), repeat=3) if any(off)]
+    got = dict(zip(offsets, (int(e[0]) for e in loc.neighbours([b], 2))))
+    assert got[(-1, 0, 0)] == a  # a same-level node
+    assert got[(1, 0, 0)] == got[(2, 1, 1)] == leaf  # the coarser leaf covering the cell
+    assert got[(0, 1, 0)] == got[(2, 2, 0)] == -1  # empty cells, at levels 2 and 1
+    assert got[(0, -1, 0)] == got[(-2, 0, 0)] == -1  # off the grid
+    # Rows for the root and the one internal octant, then the empty row.
+    assert len(loc.near) == 3 and loc.row[leaf] == loc.row[a] == loc.row[-1] == 2
+    assert (loc.near[2] == -1).all()
+    row = dict(zip(itertools.product(range(-1, 2), repeat=3), loc.near[loc.row[octant]].tolist()))
+    assert row.pop((0, 0, 0)) == octant and row.pop((1, 0, 0)) == leaf
+    assert set(row.values()) == {-1}
+
+
+def _brute_entry(tree, stored, level, cell):
+    """The node at ``cell``, else the leaf covering it, else -1, by walking up."""
+    if min(cell) < 0 or max(cell) >= 1 << level:
+        return -1
+    key = int(encode_cells(np.array(cell), level))
+    for up in range(level + 1):
+        node = stored.get((level - up, key >> (3 * up)))
+        if node is not None:
+            return node if up == 0 or tree.is_leaf[node] else -1
+    return -1
+
+
+def test_neighbours_mixed_levels_match_per_level():
+    t = balance_2to1(build_tree(generate(DistributionSpec("plummer", 1500, seed=3)), 2))
+    loc = CellLocator(t)
+    leaves = t.leaf_ids
+    lv = t.levels[leaves]
+    stored = {(int(t.levels[i]), int(t.keys[i])): i for i in range(t.n_nodes)}
+    coords = [tuple(decode_cells(t.keys[i : i + 1], int(t.levels[i]))[0]) for i in leaves]
+    for radius in (1, 2):
+        offsets = [off for off in itertools.product(range(-radius, radius + 1), repeat=3) if any(off)]
+        mixed = list(loc.neighbours(leaves, radius))
+        assert len(mixed) == len(offsets)
+        for level in sorted_unique(lv):
+            sel = lv == level
+            for whole, part in zip(mixed, loc.neighbours(leaves[sel], radius)):
+                assert np.array_equal(whole[sel], part)
+        for off, got in zip(offsets, mixed):
+            want = [
+                _brute_entry(t, stored, int(level), tuple(c + d for c, d in zip(cell, off)))
+                for level, cell in zip(lv, coords)
+            ]
+            assert got.tolist() == want, off
 
 
 def test_adjacency_matches_bruteforce_oracle():
