@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .commsim import (
-    CSV_HEADER,
     MODES,
     fit_scaling,
     run_comm_experiment,
@@ -270,13 +269,7 @@ def cmd_commsim(args) -> int:
     )
     for rep in reports:
         rep.check_conservation()
-    if args.out:
-        write_reports_csv(reports, args.out)
-    else:
-        sys.stdout.write(CSV_HEADER + "\n")
-        for rep in reports:
-            for row in rep.rows():
-                sys.stdout.write(",".join(str(v) for v in row) + "\n")
+    write_reports_csv(reports, args.out)
     fits = {}
     if args.model == "hier" and len(reports) >= 4:
         xs_p = [rep.P for rep in reports]

@@ -14,8 +14,9 @@ Counts are in cell units: one cell is one multipole/basis payload.
 """
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +41,6 @@ _U = np.uint64
 
 PHASES = ("global-m2m", "global-m2l", "local-m2l", "local-p2p")
 MODES = ("periodic", "truncated")
-
-# The 26 unit offsets of the face/edge/corner neighborhood.
-_OFFSETS = np.array([off for off in itertools.product((-1, 0, 1), repeat=3) if any(off)], np.int64)
 
 # ---------------------------------------------------------------------------
 # Partition and global/local split
@@ -97,11 +95,10 @@ class GlobalLocalSplit:
     the root).  Everything below a local root is local.  A process whose
     Morton range is not a single subtree has several local roots.
 
-    ``L_global`` is the level by which every process owns at least one
-    private subtree (the depth of the process-grouping hierarchy); the
-    two-process chains that a Morton cut drags below that level are
-    still tagged global and still counted by the phase simulators, whose
-    sweep depth is ``sim_depth``.
+    ``sim_depth`` is the level just below the deepest global node: the
+    global phases sweep levels 1 to ``sim_depth``, which takes in the
+    two-process chains that a Morton cut drags below the levels where
+    every process already owns a private subtree.
     """
 
     tree: Octree
@@ -109,14 +106,8 @@ class GlobalLocalSplit:
     tags: np.ndarray
     owner_lo: np.ndarray
     owner_hi: np.ndarray
-    L_global: int
     sim_depth: int
-    local_roots: list  # per process, node ids in Morton order
     locator: CellLocator  # the tree's colleague table, built once and shared by the phases of one run
-
-    @property
-    def global_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.tags == TAG_GLOBAL)
 
 
 def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
@@ -127,31 +118,18 @@ def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
     multi = owner_lo != owner_hi
     tags = np.zeros(n_nodes, dtype=np.int8)
     tags[multi] = TAG_GLOBAL
-    single = ~multi
     parent_multi = np.zeros(n_nodes, dtype=bool)
     has_parent = tree.parents >= 0
     parent_multi[has_parent] = multi[tree.parents[has_parent]]
-    roots_mask = single & (parent_multi | ~has_parent)
-    tags[roots_mask] = TAG_LOCAL_ROOT
+    tags[~multi & (parent_multi | ~has_parent)] = TAG_LOCAL_ROOT
     sim_depth = int(tree.levels[multi].max()) + 1 if multi.any() else 0
-    local_roots = [[] for _ in range(partition.P)]
-    for node in np.flatnonzero(roots_mask):
-        local_roots[owner_lo[node]].append(int(node))
-    if multi.any():
-        L_global = max(
-            min(int(tree.levels[r]) for r in roots) for roots in local_roots if roots
-        )
-    else:
-        L_global = 0
     return GlobalLocalSplit(
         tree=tree,
         partition=partition,
         tags=tags,
         owner_lo=owner_lo,
         owner_hi=owner_hi,
-        L_global=L_global,
         sim_depth=sim_depth,
-        local_roots=local_roots,
         locator=CellLocator(tree),
     )
 
@@ -235,8 +213,9 @@ class CommReport:
 CSV_HEADER = "phase,distribution,N,P,mode,process,partners,cells_sent,cells_recv"
 
 
-def write_reports_csv(reports, path) -> None:
-    with open(path, "w") as fh:
+def write_reports_csv(reports, path=None) -> None:
+    """Write the CSV rows of ``reports`` to ``path``, or to stdout without one."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(CSV_HEADER + "\n")
         for rep in reports:
             for row in rep.rows():
@@ -263,27 +242,18 @@ def uniform_local_depth(n_per_p: float, leaf_capacity: int = 1) -> int:
     return int(math.ceil(round(math.log(n_per_p / leaf_capacity, 8), 12)))
 
 
-def _halo_cells(i: int, width: int, dir_mask) -> np.ndarray:
-    """Cells received over each of the 26 directions for a 2^i-side grid.
+def _window(P: int, g: int, level: int, n: int, width: int, clip: bool) -> np.ndarray:
+    """Per process, the cells of a box around its level-``level`` ancestor.
 
-    A direction with d nonzero components contributes width^d times
-    (2^i)^(3-d) cells; ``dir_mask`` selects the directions whose
-    neighbor process exists.
+    The ancestor covers an n^3 block of cells; the box is that block grown
+    by ``width`` on every side and, with ``clip``, cut to the domain
+    [0, n 2^level)^3.  Returns the box's cell count minus n^3.
     """
-    nz = (np.abs(_OFFSETS) > 0).sum(axis=1)
-    vol = (width**nz) * (2**i) ** (3 - nz)
-    return (vol * dir_mask).sum(axis=-1)
-
-
-def _process_dir_mask(P: int, g: int, mode: str, level: int):
-    """(P, 26) mask of directions in which the level-``level`` ancestor of
-    each process's level-g cell has a neighbor."""
-    if mode == "periodic":
-        return np.ones((P, 26), dtype=np.int64)
-    coords = decode_cells(np.arange(P, dtype=np.uint64), g) >> (g - level)
-    side = 1 << level
-    nb = coords[:, None, :] + _OFFSETS[None, :, :]
-    return ((nb >= 0) & (nb < side)).all(axis=2).astype(np.int64)
+    if not clip:
+        return np.full(P, (n + 2 * width) ** 3 - n**3, dtype=np.int64)
+    lo = (decode_cells(np.arange(P, dtype=np.uint64), g) >> (g - level)) * n
+    sides = np.minimum(lo + n + width, n << level) - np.maximum(lo - width, 0)
+    return sides.prod(axis=1) - n**3
 
 
 def uniform_comm_report(
@@ -301,8 +271,10 @@ def uniform_comm_report(
     partners with one cell each per global level for M2M, 26 partners
     with 8 cells each per global level for M2L, and surface-halo counts
     (2^i + 2w)^3 - 8^i per local level, with w = 2 for M2L and w = 1 for
-    P2P.  Truncated mode clips partners and halo slabs at the domain
-    boundary; periodic mode treats every process as interior.
+    P2P.  The direct model pulls the same local halos plus a two-cell
+    window per global level, each cell from its own owner.  Every count
+    is the volume of one window (``_window``): truncated mode clips it at
+    the domain boundary, periodic mode treats every process as interior.
     """
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -317,28 +289,19 @@ def uniform_comm_report(
             phases[name] = PhaseResult(name, zeros(), zeros(), zeros())
         return CommReport(distribution, P * n_per_p, P, n_per_p, mode, model, seed, phases)
 
+    clip = mode == "truncated"
+    # Two-cell-wide halos at every local level, and a one-cell-wide halo
+    # at the leaf level.
+    halos = [_window(P, g, g, 2**i, 2, clip) for i in range(1, ell + 1)]
+    p2p = _window(P, g, g, 2**ell, 1, clip) if ell >= 1 else zeros()
+
     if model == "direct":
         # Every process owns a coarse cell of everyone's essential tree.
-        partners = np.full(P, P - 1, dtype=np.int64)
-        dir_mask = _process_dir_mask(P, g, "truncated", g)
-        cells = zeros()
-        for i in range(1, g + 1):
-            side = 1 << i
-            anc = decode_cells(np.arange(P, dtype=np.uint64), g) >> (g - i)
-            lo = np.maximum(anc - 2, 0)
-            hi = np.minimum(anc + 2, side - 1)
-            cells += (hi - lo + 1).prod(axis=1) - 1
-        for i in range(1, ell + 1):
-            cells += _halo_cells(i, 2, dir_mask)
-        if ell >= 1:
-            cells += _halo_cells(ell, 1, dir_mask)
-        res = PhaseResult("direct-let", partners, cells.copy(), cells)
-        return CommReport(
-            distribution, P * n_per_p, P, n_per_p, mode, model, seed, {"direct-let": res}
-        )
+        cells = sum(halos, p2p) + sum(_window(P, g, i, 1, 2, clip) for i in range(1, g + 1))
+        phases["direct-let"] = PhaseResult("direct-let", np.full(P, P - 1, dtype=np.int64), cells.copy(), cells)
+        return CommReport(distribution, P * n_per_p, P, n_per_p, mode, model, seed, phases)
 
-    dir_mask = _process_dir_mask(P, g, mode, g)
-    n_dirs = dir_mask.sum(axis=1)
+    n_dirs = _window(P, g, g, 1, 1, clip)
 
     # Global M2M: the 7 sibling-group partners always exist for P = 8^g,
     # and each sends one cell per global level.
@@ -350,27 +313,19 @@ def uniform_comm_report(
     # ancestor, each shipping its 8-cell sibling bundle.
     partners, per_level = zeros(), []
     for i in range(1, g + 1):
-        lvl_partners = _process_dir_mask(P, g, mode, i).sum(axis=1)
+        lvl_partners = _window(P, g, i, 1, 1, clip)
         partners += lvl_partners
         per_level.append((i, int(lvl_partners.max()), int(8 * lvl_partners.max())))
     phases["global-m2l"] = PhaseResult("global-m2l", partners, 8 * partners, 8 * partners, per_level)
 
-    # Local M2L: two-cell-wide halos at every local level.
-    halos = [_halo_cells(i, 2, dir_mask) for i in range(1, ell + 1)]
+    # Local M2L and P2P: a process talks to its n_dirs neighbors once the
+    # local tree has a level.
     recv = sum(halos, zeros())
     per_level = [(i, int(n_dirs.max()), int(lvl.max())) for i, lvl in enumerate(halos, 1)]
     partners = n_dirs * (ell >= 1)
     phases["local-m2l"] = PhaseResult("local-m2l", partners, recv.copy(), recv.copy(), per_level)
-
-    # Local P2P: one-cell-wide halo at the leaf level only.
-    partners = zeros()
-    recv = zeros()
-    per_level = []
-    if ell >= 1:
-        recv += _halo_cells(ell, 1, dir_mask)
-        partners += n_dirs
-        per_level.append((ell, int(n_dirs.max()), int(recv.max())))
-    phases["local-p2p"] = PhaseResult("local-p2p", partners, recv.copy(), recv.copy(), per_level)
+    per_level = [(ell, int(n_dirs.max()), int(p2p.max()))] if ell >= 1 else []
+    phases["local-p2p"] = PhaseResult("local-p2p", partners.copy(), p2p.copy(), p2p.copy(), per_level)
 
     return CommReport(distribution, P * n_per_p, P, n_per_p, mode, model, seed, phases)
 
@@ -664,6 +619,8 @@ def run_comm_experiment(
         counting = "uniform" if spec.kind == "random-cube" else "general"
     if counting not in ("uniform", "general"):
         raise ConfigurationError(f"unknown counting {counting!r}")
+    if counting == "uniform" and spec.kind != "random-cube":
+        raise ConfigurationError(f"uniform counting models a random cube, not {spec.kind}")
     if counting == "general" and mode == "periodic":
         raise ConfigurationError("general counting enumerates real trees; use truncated mode")
     reports = []

@@ -248,6 +248,27 @@ def test_commsim_zero_leaf_capacity_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_commsim_uniform_counting_needs_random_cube(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    args = ["commsim", "--dist", "plummer", "--P", "8", "--n-per-p", "512"]
+    rc = run(args + ["--counting", "uniform", "--mode", "truncated", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_commsim_direct_periodic_stdout(tmp_path, capsys):
+    args = ["commsim", "--dist", "random", "--P", "8", "--n-per-p", "512", "--model", "direct"]
+    assert run(args + ["--mode", "periodic", "--summary", str(tmp_path / "s.json")]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1 + 8
+    # Every process is interior: 7 partners and 2484 cells, not the clipped 920.
+    assert {tuple(r.split(",")[4:]) for r in rows[1:]} == {
+        ("periodic", str(p), "7", "2484", "2484") for p in range(8)
+    }
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_matvec_non_finite_vector_rejected(compressed, tmp_path, capsys, bad):
     container, summary = compressed

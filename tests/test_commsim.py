@@ -119,30 +119,35 @@ def test_partition_cuts_match_greedy_loop(kind, n, seed, leaf_capacity, data):
 # -- global/local split ------------------------------------------------------
 
 
+def _local_roots(sp, proc):
+    return np.flatnonzero((sp.tags == TAG_LOCAL_ROOT) & (sp.owner_lo == proc))
+
+
 def test_split_p1_root_is_local_root():
     t = build_tree(generate(DistributionSpec("random-cube", 300, seed=1)), 16)
     sp = split_global_local(t, partition_sfc(t, 1))
-    assert sp.L_global == 0
-    assert len(sp.global_nodes) == 0
-    assert sp.local_roots[0] == [0]
+    assert not (sp.tags == TAG_GLOBAL).any()
+    assert _local_roots(sp, 0).tolist() == [0]
+    assert sp.sim_depth == 0
 
 
 def test_split_uniform_p64():
     t = lattice_tree(3, 16)
     sp = split_global_local(t, partition_sfc(t, 64))
-    assert sp.L_global == 2
-    assert all(len(r) == 1 for r in sp.local_roots)
-    levels = {int(t.levels[r[0]]) for r in sp.local_roots}
-    assert levels == {2}
+    roots = [_local_roots(sp, p) for p in range(64)]
+    assert all(len(r) == 1 for r in roots)
+    assert {int(t.levels[r[0]]) for r in roots} == {2}
     # Global nodes live at levels 0 and 1 only.
-    assert set(t.levels[sp.global_nodes].tolist()) == {0, 1}
+    assert set(t.levels[sp.tags == TAG_GLOBAL].tolist()) == {0, 1}
 
 
 def test_split_plummer_depth_bound():
     ps = generate(DistributionSpec("plummer", 65536, seed=0))
     t = balance_2to1(build_tree(ps, 16))
     sp = split_global_local(t, partition_sfc(t, 64))
-    assert sp.L_global <= 2 * math.log(64, 8) + 2
+    # Every process owns a private subtree at most 2 log8 P + 2 levels deep.
+    for p in range(64):
+        assert t.levels[_local_roots(sp, p)].min() <= 2 * math.log(64, 8) + 2
 
 
 # -- uniform engine ----------------------------------------------------------
@@ -211,6 +216,54 @@ def test_uniform_conservation():
 def test_power_of_8_required():
     with pytest.raises(ConfigurationError):
         uniform_comm_report(10, 64)
+
+
+_UNIFORM_SWEEP = [
+    (P, n_per_p, cap)
+    for P in (1, 8, 64, 512, 4096, 32768)
+    for n_per_p in (1, 7, 8, 512, 8**7)
+    for cap in (1, 16)
+]
+
+# Recorded before the uniform engine was rewritten as clipped windows; every
+# report of the sweep (metadata, per-process arrays with their dtypes, and
+# per_level) must stay byte-identical.
+PINNED_UNIFORM_DIGESTS = {
+    ("hier", "periodic"): "ab0b2ee9c1a88d218e26b2739a796cac831561809ea47a93a3f4e2bbf96752ca",
+    ("hier", "truncated"): "6244c6d36c0cb99e86566b1f71fd6cfb7ff6cc38d3fda41b46f9572909493c2d",
+    ("direct", "truncated"): "f134b495d76c2b8969dde6a2c1a323adeef040efde8e871af4fa75e771340ade",
+}
+
+
+@pytest.mark.parametrize("model, mode", sorted(PINNED_UNIFORM_DIGESTS))
+def test_uniform_counts_pinned(model, mode):
+    h = hashlib.sha256()
+    for P, n_per_p, cap in _UNIFORM_SWEEP:
+        rep = uniform_comm_report(P, n_per_p, mode=mode, leaf_capacity=cap, model=model)
+        h.update(f"{rep.distribution},{rep.n},{rep.P},{rep.n_per_p},{rep.mode},{rep.model}\n".encode())
+        for name, ph in rep.phases.items():
+            for a in (ph.partners, ph.cells_sent, ph.cells_recv):
+                h.update(a.dtype.str.encode() + a.tobytes())
+            h.update(f"{name}:{ph.per_level!r}\n".encode())
+    assert h.hexdigest() == PINNED_UNIFORM_DIGESTS[(model, mode)]
+
+
+def test_uniform_direct_periodic_closed_form():
+    # Every process is interior: a 5^3 window per global level, the
+    # two-wide halo per local level and the one-wide leaf halo.
+    for P, n_per_p, cap in _UNIFORM_SWEEP:
+        rep = uniform_comm_report(P, n_per_p, mode="periodic", leaf_capacity=cap, model="direct")
+        ph = rep.phase("direct-let")
+        g, ell = round(math.log(P, 8)), uniform_local_depth(n_per_p, cap)
+        cells = g * (5**3 - 1) + sum((2**i + 4) ** 3 - 8**i for i in range(1, ell + 1))
+        cells += (2**ell + 2) ** 3 - 8**ell if ell else 0
+        want = np.full(P, cells if P > 1 else 0, dtype=np.int64)
+        assert np.array_equal(ph.cells_recv, want) and np.array_equal(ph.cells_sent, want)
+        assert np.array_equal(ph.partners, np.full(P, P - 1, dtype=np.int64))
+        assert {a.dtype for a in (ph.partners, ph.cells_sent, ph.cells_recv)} == {np.dtype(np.int64)}
+        assert ph.per_level == []
+    ph = uniform_comm_report(8, 512, mode="periodic", model="direct").phase("direct-let")
+    assert (ph.cells_recv == 2484).all()
 
 
 # -- general engine ----------------------------------------------------------
@@ -306,8 +359,8 @@ def test_split_and_conservation_on_random_partitions(kind, n, seed, leaf_capacit
         anc = np.where(sp.tags[anc] == TAG_LOCAL_ROOT, anc, np.maximum(tree.parents[anc], 0))
     assert (sp.tags[anc] == TAG_LOCAL_ROOT).all()
     assert np.array_equal(sp.owner_lo[anc], part.leaf_process)
-    for proc, roots in enumerate(sp.local_roots):
-        assert sorted(roots) == np.unique(anc[part.leaf_process == proc]).tolist()
+    for proc in range(part.P):
+        assert _local_roots(sp, proc).tolist() == np.unique(anc[part.leaf_process == proc]).tolist()
     for P in sorted({part.P, 1}):
         for model in ("hier", "direct"):
             rep = simulate_comm(tree, partition_sfc(tree, P), kind, model=model)
@@ -587,12 +640,17 @@ def test_run_experiment_general_counting():
     assert reports[0].P == 4
     with pytest.raises(ConfigurationError):
         run_comm_experiment(spec, [4], [64], mode="periodic")
+    # The closed form models a random cube only.
+    with pytest.raises(ConfigurationError):
+        run_comm_experiment(spec, [8], [64], mode="truncated", counting="uniform")
 
 
-def test_csv_emission(tmp_path):
+def test_csv_emission(tmp_path, capsys):
     rep = uniform_comm_report(8, 64, mode="periodic")
     path = tmp_path / "comm.csv"
     write_reports_csv([rep], path)
+    write_reports_csv([rep])
+    assert capsys.readouterr().out == path.read_text()
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 4 * 8  # four phases, eight processes
