@@ -8,6 +8,7 @@ internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,6 +20,7 @@ from . import __version__
 from .commsim import (
     MODES,
     fit_scaling,
+    resolve_counting,
     run_comm_experiment,
     write_reports_csv,
 )
@@ -40,7 +42,7 @@ from .geometry import (
 from .h2 import compress, coupling, dense_apply, downsweep, flop_report, storage_report, upsweep
 from .h2io import VERSION, load_h2, save_h2
 from .kernels import KernelSpec, dense_matrix, oracle_limit
-from .tree import balance_2to1, build_tree, depth_stats
+from .tree import DEFAULT_LEAF_CAPACITY, balance_2to1, build_tree, depth_stats
 
 DIST_ALIASES = {
     "random": "random-cube",
@@ -75,11 +77,19 @@ def _int_list(flag, text):
     return values
 
 
-def _check_writable(*paths):
-    """Refuse before any work or write if one output path cannot be written,
-    so a failing command leaves no file behind."""
-    for path in paths:
-        if path is None or path == "-":
+def _text_out(path):
+    """The stream of a text output: stdout for ``None`` or ``-``, else the file."""
+    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
+
+
+def _check_writable(out, summary, binary=False):
+    """Refuse before any work or write if an output path cannot be written,
+    so a failing command leaves no file behind.  ``-`` is stdout, which
+    takes text only: a ``binary`` ``out`` refuses it."""
+    if binary and out == "-":
+        raise ConfigurationError("cannot write binary output to stdout; give --out a file path")
+    for path in (out, summary):
+        if path in (None, "-"):
             continue
         target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.access(target, os.W_OK):
@@ -87,22 +97,19 @@ def _check_writable(*paths):
 
 
 def _json_dump(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    with _text_out(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_gen(args) -> int:
-    _check_writable(args.out, args.summary)
+    _check_writable(args.out, args.summary, binary=args.format == "bin")
     spec = DistributionSpec(_dist_kind(args.dist), args.n, args.seed)
     particles = generate(spec)
     if args.format == "bin":
         save_binary(particles, args.out)
     else:
-        save_csv(particles, args.out)
+        with _text_out(args.out) as fh:
+            save_csv(particles, fh)
     if args.summary:
         _json_dump(
             {
@@ -121,6 +128,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tree_stats(args) -> int:
+    _check_writable(args.out, None)
     n_values = _int_list("--n-values", args.n_values)
     dists = [_dist_kind(d) for d in args.dists.split(",")]
     lines = ["distribution,n,depth"]
@@ -128,12 +136,8 @@ def cmd_tree_stats(args) -> int:
         spec = DistributionSpec(kind, n_values[0], args.seed)
         for n, depth in depth_stats(spec, n_values, args.leaf_capacity):
             lines.append(f"{kind},{n},{depth}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    with _text_out(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -144,7 +148,7 @@ def _load_particles(path):
 
 
 def cmd_compress(args) -> int:
-    _check_writable(args.out, args.summary)
+    _check_writable(args.out, args.summary, binary=True)
     if args.infile:
         particles = _load_particles(args.infile)
         kind = "file"
@@ -245,7 +249,7 @@ def cmd_matvec(args) -> int:
             np.linalg.norm(y - y_ref) / max(np.linalg.norm(y_ref), 1e-300)
         )
     if args.out:
-        with open(args.out, "w") as fh:
+        with _text_out(args.out) as fh:
             fh.writelines(f"{float(v)!r}\n" for v in y)
     _json_dump(report, args.summary)
     return 0
@@ -257,19 +261,12 @@ def cmd_commsim(args) -> int:
     P_values = _int_list("--P", args.P)
     NP_values = _int_list("--n-per-p", args.n_per_p)
     spec = DistributionSpec(kind, max(NP_values), args.seed)
-    reports = run_comm_experiment(
-        spec,
-        P_values,
-        NP_values,
-        mode=args.mode,
-        model=args.model,
-        counting=args.counting,
-        leaf_capacity=args.leaf_capacity,
-        tree_leaf_capacity=args.tree_leaf_capacity,
-    )
+    counting, mode, leaf_capacity = resolve_counting(kind, args.counting, args.mode, args.leaf_capacity)
+    reports = run_comm_experiment(spec, P_values, NP_values, mode, args.model, counting, leaf_capacity)
     for rep in reports:
         rep.check_conservation()
-    write_reports_csv(reports, args.out)
+    with _text_out(args.out) as fh:
+        write_reports_csv(reports, fh)
     fits = {}
     if args.model == "hier" and len(reports) >= 4:
         xs_p = [rep.P for rep in reports]
@@ -299,9 +296,10 @@ def cmd_commsim(args) -> int:
             "dist": kind,
             "P": P_values,
             "n_per_p": NP_values,
-            "mode": args.mode,
+            "mode": mode,
             "model": args.model,
-            "counting": args.counting,
+            "counting": counting,
+            "leaf_capacity": leaf_capacity,
             "seed": args.seed,
             "format_version": 1,
         },
@@ -382,11 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="random")
     p.add_argument("--P", required=True, help="comma-separated process counts")
     p.add_argument("--n-per-p", required=True, help="comma-separated N/P values")
-    p.add_argument("--mode", choices=MODES, default="periodic")
+    p.add_argument("--mode", choices=MODES, help="default: the engine's own")
     p.add_argument("--model", choices=("hier", "direct"), default="hier")
     p.add_argument("--counting", choices=("auto", "uniform", "general"), default="auto")
-    p.add_argument("--leaf-capacity", type=int, default=1)
-    p.add_argument("--tree-leaf-capacity", type=int, default=16)
+    p.add_argument("--leaf-capacity", type=int, help=f"default: 1 uniform, {DEFAULT_LEAF_CAPACITY} general")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="fit JSON path (default stdout)")
@@ -402,7 +399,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped reading: not an error
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor: leave it
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)  # later flushes go to devnull
+        return 0
     except (ConfigurationError, ContainerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,9 +14,7 @@ Counts are in cell units: one cell is one multipole/basis payload.
 """
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +23,7 @@ from .errors import ConfigurationError, PartitionError
 from .geometry import DistributionSpec, generate
 from .morton import MAX_LEVEL, decode_cells, encode_cells
 from .tree import (
+    DEFAULT_LEAF_CAPACITY,
     CellLocator,
     Octree,
     _level_pairs,
@@ -213,13 +212,12 @@ class CommReport:
 CSV_HEADER = "phase,distribution,N,P,mode,process,partners,cells_sent,cells_recv"
 
 
-def write_reports_csv(reports, path=None) -> None:
-    """Write the CSV rows of ``reports`` to ``path``, or to stdout without one."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rep in reports:
-            for row in rep.rows():
-                fh.write(",".join(str(v) for v in row) + "\n")
+def write_reports_csv(reports, fh) -> None:
+    """Write the CSV header and the rows of ``reports`` to the text stream ``fh``."""
+    fh.write(CSV_HEADER + "\n")
+    for rep in reports:
+        for row in rep.rows():
+            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -596,54 +594,56 @@ def fit_scaling(xs, ys=None, log_base: float = 2.0) -> FitResult:
     return FitResult(exp_slope, exp_r2, log_slope, log_icpt, log_r2)
 
 
+def resolve_counting(kind: str, counting: str = "auto", mode=None, leaf_capacity=None):
+    """The ``(counting, mode, leaf_capacity)`` a sweep over ``kind`` runs with.
+
+    ``"auto"`` is uniform counting for a random cube, general otherwise; a
+    ``None`` mode or leaf capacity is the engine's own: periodic and 1 for
+    the closed form, truncated and ``DEFAULT_LEAF_CAPACITY`` for general
+    counting, which has no periodic mode.
+    """
+    if counting == "auto":
+        counting = "uniform" if kind == "random-cube" else "general"
+    if counting not in ("uniform", "general"):
+        raise ConfigurationError(f"unknown counting {counting!r}")
+    uniform = counting == "uniform"
+    if uniform and kind != "random-cube":
+        raise ConfigurationError(f"uniform counting models a random cube, not {kind}")
+    if mode is None:
+        mode = "periodic" if uniform else "truncated"
+    if not uniform and mode == "periodic":
+        raise ConfigurationError("general counting enumerates real trees; use truncated mode")
+    if leaf_capacity is None:
+        leaf_capacity = 1 if uniform else DEFAULT_LEAF_CAPACITY
+    return counting, mode, leaf_capacity
+
+
 def run_comm_experiment(
     spec: DistributionSpec,
     P_values,
     NP_values,
-    mode: str = "periodic",
+    mode: str | None = None,
     model: str = "hier",
     counting: str = "auto",
-    leaf_capacity: int = 1,
-    tree_leaf_capacity: int = 16,
+    leaf_capacity: int | None = None,
 ) -> list:
     """Sweep (P, N/P) combinations and return one CommReport per run.
 
     ``counting="uniform"`` evaluates the closed-form full-tree counts
     (random-cube only, P a power of 8, no particles generated) with
-    ``leaf_capacity`` entering the local-depth formula; ``"general"``
-    builds the actual 2:1-balanced adaptive tree per run at
-    ``tree_leaf_capacity``.
-    ``"auto"`` picks uniform for random-cube and general otherwise.
+    ``leaf_capacity`` in the local-depth formula; ``"general"`` builds the
+    2:1-balanced adaptive tree of each run with ``leaf_capacity`` particles
+    per leaf.  ``resolve_counting`` sets ``"auto"`` and the defaults.
     """
-    if counting == "auto":
-        counting = "uniform" if spec.kind == "random-cube" else "general"
-    if counting not in ("uniform", "general"):
-        raise ConfigurationError(f"unknown counting {counting!r}")
-    if counting == "uniform" and spec.kind != "random-cube":
-        raise ConfigurationError(f"uniform counting models a random cube, not {spec.kind}")
-    if counting == "general" and mode == "periodic":
-        raise ConfigurationError("general counting enumerates real trees; use truncated mode")
+    counting, mode, leaf_capacity = resolve_counting(spec.kind, counting, mode, leaf_capacity)
     reports = []
-    for P in P_values:
-        for n_per_p in NP_values:
+    for P in map(int, P_values):
+        for n_per_p in map(int, NP_values):
             if counting == "uniform":
-                reports.append(
-                    uniform_comm_report(
-                        int(P),
-                        int(n_per_p),
-                        mode=mode,
-                        leaf_capacity=leaf_capacity,
-                        distribution=spec.kind,
-                        model=model,
-                        seed=spec.seed,
-                    )
-                )
-                continue
-            n = int(P) * int(n_per_p)
-            particles = generate(DistributionSpec(spec.kind, n, spec.seed))
-            tree = balance_2to1(build_tree(particles, tree_leaf_capacity))
-            partition = partition_sfc(tree, int(P))
-            reports.append(
-                simulate_comm(tree, partition, distribution=spec.kind, seed=spec.seed, model=model)
-            )
+                rep = uniform_comm_report(P, n_per_p, mode, leaf_capacity, spec.kind, model, spec.seed)
+            else:
+                particles = generate(DistributionSpec(spec.kind, P * n_per_p, spec.seed))
+                tree = balance_2to1(build_tree(particles, leaf_capacity))
+                rep = simulate_comm(tree, partition_sfc(tree, P), spec.kind, spec.seed, model)
+            reports.append(rep)
     return reports

@@ -6,7 +6,6 @@ any platform.
 """
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -144,21 +143,15 @@ def generate(spec: DistributionSpec) -> ParticleSet:
     return ParticleSet(positions)
 
 
-def save_csv(particles: ParticleSet, path) -> None:
-    """Write particles as CSV with header ``index,x,y,z,charge``.
-
-    Floats use repr formatting, so a read-back reproduces the exact
-    binary values.
-    """
-    buf = io.StringIO()
-    buf.write("index,x,y,z,charge\n")
+def save_csv(particles: ParticleSet, fh) -> None:
+    """Write particles to the text stream ``fh`` as CSV with header
+    ``index,x,y,z,charge``; floats use repr, so a read-back is exact."""
+    fh.write("index,x,y,z,charge\n")
     for i in range(len(particles)):
         x, y, z = (float(v) for v in particles.positions[i])
-        buf.write(
+        fh.write(
             f"{int(particles.indices[i])},{x!r},{y!r},{z!r},{float(particles.charges[i])!r}\n"
         )
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
 
 
 def _from_records(path, records) -> ParticleSet:

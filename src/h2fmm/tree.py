@@ -23,7 +23,10 @@ _U = np.uint64
 
 
 def _ranges_concat(starts, counts):
-    """Concatenate [s, s+c) ranges into one index vector without a loop."""
+    """Concatenate [s, s+c) ranges into one index vector without a loop.
+
+    Every count must be >= 1: a zero shifts the later ranges (counts
+    [2, 0, 3] give wrong indices) and a trailing zero raises IndexError."""
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +403,12 @@ def test_unwritable_output_path_rejected(compressed, tmp_path, capsys, name, fla
     assert not missing.parent.exists()
 
 
+def test_tree_stats_checks_out_before_the_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "depth_stats", lambda *args: pytest.fail("the sweep ran"))
+    assert run(["tree-stats", "--n-values", "100", "--out", str(tmp_path / "missing" / "d.csv")]) == 2
+    assert _usage_error(capsys)
+
+
 @pytest.mark.parametrize("name", ["gen", "compress", "matvec", "commsim"])
 def test_no_partial_output_when_a_later_path_fails(compressed, tmp_path, capsys, name):
     out, summary = tmp_path / "out", tmp_path / "missing" / "s.json"
@@ -519,3 +529,110 @@ def test_commsim_models_share_metadata_columns(tmp_path):
 def test_verify_subcommand_smoke():
     rc = run(["verify", "-k", "criterion_01"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("name", ["gen", "commsim", "matvec"])
+def test_dash_out_is_stdout(compressed, tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    args = _command(name, compressed) + ["--summary", "s.json"]
+    assert run(args + ["--out", "file.txt"]) == 0
+    capsys.readouterr()
+    assert run(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "file.txt").read_text()
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compress", "--n", "300", "--delta", "1e-2"],
+        ["gen", "--dist", "plummer", "--n", "100", "--format", "bin"],
+    ],
+)
+def test_binary_out_refuses_stdout(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out", "-"]) == 2
+    assert _usage_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: EPIPE at the first ``write``, or, with
+    ``at="flush"``, only when the buffered output is flushed."""
+
+    def __init__(self, at):
+        self.at, self.flushed = at, False
+
+    def write(self, text):
+        if self.at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        self.flushed = True
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+def test_closed_pipe_ends_quietly(capsys, monkeypatch, at):
+    # capsys before monkeypatch: the stub is undone before the capture is.
+    stdout = _ClosedPipe(at)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["commsim", "--P", "8", "--n-per-p", "64"]) == 0
+    assert capsys.readouterr().err == ""
+    # main flushes, so the pipe cannot break later, at interpreter exit.
+    assert stdout.flushed or at == "write"
+
+
+def test_closed_pipe_console_process():
+    """The real process: the reader takes one line of an output larger than
+    the pipe buffer and closes the pipe."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "h2fmm.cli", "commsim", "--P", "4096", "--n-per-p", "512"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().decode().startswith("phase,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_commsim_mode_defaults_to_engine(tmp_path):
+    csv, summary = tmp_path / "c.csv", tmp_path / "s.json"
+    for dist, counting, mode, leaf_capacity in [
+        ("plummer", "general", "truncated", 16),
+        ("random", "uniform", "periodic", 1),
+    ]:
+        args = ["commsim", "--dist", dist, "--P", "8", "--n-per-p", "64", "--summary", str(summary)]
+        assert run(args + ["--out", str(csv)]) == 0
+        config = json.loads(summary.read_text())["config"]
+        assert (config["counting"], config["mode"], config["leaf_capacity"]) == (
+            counting,
+            mode,
+            leaf_capacity,
+        )
+        explicit = tmp_path / "explicit.csv"
+        assert run(args + ["--mode", mode, "--out", str(explicit)]) == 0
+        assert explicit.read_bytes() == csv.read_bytes()
+
+
+def test_commsim_one_leaf_capacity(tmp_path, capsys):
+    args = ["commsim", "--dist", "plummer", "--P", "8", "--n-per-p", "64", "--summary", str(tmp_path / "s.json")]
+    outs = {}
+    for capacity in (None, "16", "8"):
+        out = tmp_path / f"{capacity}.csv"
+        flags = [] if capacity is None else ["--leaf-capacity", capacity]
+        assert run(args + flags + ["--out", str(out)]) == 0
+        outs[capacity] = out.read_bytes()
+    assert outs[None] == outs["16"]
+    assert outs["8"] != outs["16"]
+    assert json.loads((tmp_path / "s.json").read_text())["config"]["leaf_capacity"] == 8
+    assert run(args + ["--leaf-capacity", "0", "--out", str(tmp_path / "zero.csv")]) == 2
+    assert _usage_error(capsys)
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--tree-leaf-capacity", "16"])
+    assert exc.value.code == 2

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from h2fmm.commsim import (
     TAG_LOCAL_ROOT,
     fit_scaling,
     partition_sfc,
+    resolve_counting,
     run_comm_experiment,
     sim_direct_let,
     sim_global_m2l,
@@ -645,11 +647,50 @@ def test_run_experiment_general_counting():
         run_comm_experiment(spec, [8], [64], mode="truncated", counting="uniform")
 
 
+def test_resolve_counting_engine_defaults():
+    assert resolve_counting("random-cube") == ("uniform", "periodic", 1)
+    assert resolve_counting("plummer") == ("general", "truncated", 16)
+    assert resolve_counting("random-cube", "general") == ("general", "truncated", 16)
+    assert resolve_counting("random-cube", mode="truncated", leaf_capacity=4) == (
+        "uniform",
+        "truncated",
+        4,
+    )
+    # An explicit 0 is passed on, for the engine to reject, not defaulted.
+    assert resolve_counting("plummer", leaf_capacity=0)[2] == 0
+    for kind, counting, mode in [
+        ("plummer", "auto", "periodic"),
+        ("random-cube", "general", "periodic"),
+        ("plummer", "uniform", None),
+        ("plummer", "closed-form", None),
+    ]:
+        with pytest.raises(ConfigurationError):
+            resolve_counting(kind, counting, mode)
+
+
+def test_run_experiment_one_leaf_capacity():
+    plummer = DistributionSpec("plummer", 64, seed=1)
+    default = run_comm_experiment(plummer, [8], [64])
+    assert default[0].mode == "truncated"
+    explicit = run_comm_experiment(plummer, [8], [64], mode="truncated", leaf_capacity=16)
+    rows = lambda reps: [list(r.rows()) for r in reps]  # noqa: E731
+    assert rows(default) == rows(explicit)
+    assert rows(run_comm_experiment(plummer, [8], [64], leaf_capacity=8)) != rows(default)
+    cube = DistributionSpec("random-cube", 64, seed=0)
+    assert rows(run_comm_experiment(cube, [8], [512])) == rows(
+        run_comm_experiment(cube, [8], [512], mode="periodic", leaf_capacity=1)
+    )
+    for spec in (plummer, cube):
+        with pytest.raises(ConfigurationError):
+            run_comm_experiment(spec, [8], [64], leaf_capacity=0)
+
+
 def test_csv_emission(tmp_path, capsys):
     rep = uniform_comm_report(8, 64, mode="periodic")
     path = tmp_path / "comm.csv"
-    write_reports_csv([rep], path)
-    write_reports_csv([rep])
+    with open(path, "w") as fh:
+        write_reports_csv([rep], fh)
+    write_reports_csv([rep], sys.stdout)
     assert capsys.readouterr().out == path.read_text()
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER

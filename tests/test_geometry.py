@@ -89,7 +89,8 @@ def test_negative_seed_rejected():
 def test_csv_roundtrip_exact(tmp_path):
     ps = generate(DistributionSpec("plummer", 257, seed=3))
     path = tmp_path / "p.csv"
-    save_csv(ps, path)
+    with open(path, "w") as fh:
+        save_csv(ps, fh)
     header = path.read_text().splitlines()[0]
     assert header == "index,x,y,z,charge"
     back = load_csv(path)
