@@ -85,12 +85,14 @@ def _text_out(path):
 def _check_writable(out, summary, binary=False):
     """Refuse before any work or write if an output path cannot be written,
     so a failing command leaves no file behind.  ``-`` is stdout, which
-    takes text only: a ``binary`` ``out`` refuses it."""
+    takes text only: a ``binary`` ``out`` refuses it.  ``out`` and ``summary``
+    may not name one file, since the second write would replace the first."""
     if binary and out == "-":
         raise ConfigurationError("cannot write binary output to stdout; give --out a file path")
-    for path in (out, summary):
-        if path in (None, "-"):
-            continue
+    files = [path for path in (out, summary) if path not in (None, "-")]
+    if len(files) == 2 and os.path.realpath(out) == os.path.realpath(summary):
+        raise ConfigurationError(f"--out and --summary both name {summary}; give two different files")
+    for path in files:
         target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise ConfigurationError(f"cannot write {path}: not a writable file path")

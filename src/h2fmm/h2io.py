@@ -101,11 +101,11 @@ def save_h2(h2: H2Matrix, path) -> None:
 
 
 def load_h2(path) -> H2Matrix:
-    """Read a container written by :func:`save_h2` in one pass."""
+    """Read a container written by :func:`save_h2` into one unfilled buffer."""
     try:
         with open(path, "rb") as fh:
-            buf = bytearray(os.fstat(fh.fileno()).st_size)
-            del buf[fh.readinto(buf) :]
+            buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+            buf = buf[: fh.readinto(buf)]
     except OSError as exc:
         raise ContainerError(f"cannot read container {path}: {exc.strerror}") from None
     return decode(buf)

@@ -556,6 +556,19 @@ def test_binary_out_refuses_stdout(tmp_path, monkeypatch, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+@pytest.mark.parametrize("name", ["compress", "commsim", "gen", "matvec"])
+def test_same_out_and_summary_refused(compressed, tmp_path, monkeypatch, capsys, name, spelling):
+    # The summary is written last, so it would silently replace the output.
+    monkeypatch.chdir(tmp_path)
+    summary = {"same": "x", "dot": "./x", "symlink": "link"}[spelling]
+    if spelling == "symlink":
+        os.symlink("x", "link")
+    assert run(_command(name, compressed) + ["--out", "x", "--summary", summary]) == 2
+    assert _usage_error(capsys)
+    assert sorted(os.listdir(tmp_path)) == (["link"] if spelling == "symlink" else [])
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: EPIPE at the first ``write``, or, with
     ``at="flush"``, only when the buffered output is flushed."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from h2fmm import h2io
 from h2fmm.cli import main
 from h2fmm.errors import ContainerError
 from h2fmm.geometry import DistributionSpec, generate
@@ -123,6 +124,50 @@ def test_inconsistent_ranks_rejected(tiny_container, tmp_path):
     m.row_basis.ranks[np.argmax(m.row_basis.ranks)] -= 1
     with pytest.raises(ContainerError, match="basis data"):
         decode(bytearray(_resave(m, tmp_path)))
+
+
+def _stores(m):
+    return (m.row_basis.mats.data, m.blocks.coupling.data, m.blocks.dense.data)
+
+
+def test_decode_accepts_any_bytes_like(tiny_container, tmp_path):
+    raw = tiny_container
+    ms = [decode(buf) for buf in (raw, bytearray(raw), np.frombuffer(raw, np.uint8).copy())]
+    for m in ms[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(_stores(m), _stores(ms[0])))
+    assert all(_resave(m, tmp_path) == raw for m in ms)
+
+
+def test_loaded_stores_are_writable_views_of_the_read_buffer(tiny_container, tmp_path, monkeypatch):
+    read = []
+    monkeypatch.setattr(h2io, "decode", lambda buf: read.append(buf) or decode(buf))
+    path = tmp_path / "t.h2"
+    path.write_bytes(tiny_container)
+    m = load_h2(path)
+    (buf,) = read
+    assert bytes(buf) == tiny_container
+    for store in _stores(m):
+        assert store.size and store.flags.writeable and np.shares_memory(store, buf)
+
+
+def _offset(raw, array):
+    """Byte offset of ``array`` in container bytes ``raw``."""
+    pos = _PREFIX.size + _PREFIX.unpack_from(raw)[2]
+    for name, dtype, shape in _layout(_header(raw)):
+        if name == array:
+            return pos
+        pos += math.prod(shape) * np.dtype(dtype).itemsize
+
+
+def test_load_short_file_rejected(tiny_container, tmp_path):
+    empty = tmp_path / "empty.h2"
+    empty.write_bytes(b"")
+    with pytest.raises(ContainerError, match="^container truncated to 0 bytes$"):
+        load_h2(empty)
+    cut = tmp_path / "cut.h2"
+    cut.write_bytes(tiny_container[: _offset(tiny_container, "coupling") + 12])
+    with pytest.raises(ContainerError, match="^container truncated in array 'coupling'$"):
+        load_h2(cut)
 
 
 @settings(max_examples=12, deadline=None)
