@@ -82,19 +82,26 @@ def _text_out(path):
     return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
 
 
-def _check_writable(out, summary, binary=False):
+def _check_writable(out, summary, binary=False, inputs=(), replace=False):
     """Refuse before any work or write if an output path cannot be written,
     so a failing command leaves no file behind.  ``-`` is stdout, which
-    takes text only: a ``binary`` ``out`` refuses it.  ``out`` and ``summary``
-    may not name one file, since the second write would replace the first."""
+    takes text only: a ``binary`` ``out`` refuses it.  An output may not name
+    the other output or one of ``inputs``, which writing it would destroy.  A
+    ``replace``d regular file (deleted, then written anew) needs its folder too."""
     if binary and out == "-":
         raise ConfigurationError("cannot write binary output to stdout; give --out a file path")
     files = [path for path in (out, summary) if path not in (None, "-")]
     if len(files) == 2 and os.path.realpath(out) == os.path.realpath(summary):
         raise ConfigurationError(f"--out and --summary both name {summary}; give two different files")
+    read = {os.path.realpath(path) for path in inputs if path}
     for path in files:
-        target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path) or not os.access(target, os.W_OK):
+        if os.path.realpath(path) in read:
+            raise ConfigurationError(f"cannot write {path}: it is an input of this command")
+        folder = os.path.dirname(os.path.realpath(path))
+        targets = [path] if os.path.exists(path) else [folder]
+        if replace and path == out and os.path.isfile(path):
+            targets.append(folder)
+        if os.path.isdir(path) or not all(os.access(target, os.W_OK) for target in targets):
             raise ConfigurationError(f"cannot write {path}: not a writable file path")
 
 
@@ -150,7 +157,7 @@ def _load_particles(path):
 
 
 def cmd_compress(args) -> int:
-    _check_writable(args.out, args.summary, binary=True)
+    _check_writable(args.out, args.summary, binary=True, inputs=[args.infile], replace=True)
     if args.infile:
         particles = _load_particles(args.infile)
         kind = "file"
@@ -193,7 +200,7 @@ def cmd_compress(args) -> int:
 def cmd_matvec(args) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
-    _check_writable(args.out, args.summary)
+    _check_writable(args.out, args.summary, inputs=[args.matrix, args.x])
     h2 = load_h2(args.matrix)
     n = h2.n
     if args.oracle and n > oracle_limit():

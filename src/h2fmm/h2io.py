@@ -22,12 +22,17 @@ product that is not finite.  The basis shape groups and the block-row
 layout of the coupling and dense data are rebuilt from the tree, block
 partition and ranks, which must imply the stored data lengths.  A
 read-back reproduces the matrix bit for bit; gather arrays are not stored.
+The loaded stores map the file: a save over it leaves them intact, but a
+program that truncates or rewrites it in place can change them or raise
+SIGBUS; ``decode(Path(path).read_bytes())`` takes a private snapshot.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -70,7 +75,11 @@ def _layout(h):
 
 
 def save_h2(h2: H2Matrix, path) -> None:
-    """Serialize the compressed matrix to the binary container."""
+    """Serialize the compressed matrix to the binary container.  A regular
+    file the caller may write (a symlink's target) is deleted, not truncated,
+    and written anew: other hard links and a process mapping it keep the old
+    bytes, the mode follows the umask, and a crash leaves no file or a short
+    one :func:`decode` rejects.  Anything else is opened as by ``open``."""
     tree, blocks = h2.octree, h2.blocks
     stores = (h2.row_basis.mats, blocks.coupling, blocks.dense)
     header = {
@@ -93,6 +102,9 @@ def save_h2(h2: H2Matrix, path) -> None:
                   indices=particles.indices, ranks=h2.row_basis.ranks, tails=h2.row_basis.tails)
     blob = json.dumps(header).encode()
     blob += b" " * (-(_PREFIX.size + len(blob)) % 8)
+    if os.path.isfile(path := os.path.realpath(path)) and os.access(path, os.W_OK):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)  # a truncate would wait for the old bytes' write-back
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(blob)))
         fh.write(blob)
@@ -101,11 +113,11 @@ def save_h2(h2: H2Matrix, path) -> None:
 
 
 def load_h2(path) -> H2Matrix:
-    """Read a container written by :func:`save_h2` into one unfilled buffer."""
+    """Map a container written by :func:`save_h2` copy-on-write and decode it."""
     try:
         with open(path, "rb") as fh:
-            buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
-            buf = buf[: fh.readinto(buf)]
+            size = os.fstat(fh.fileno()).st_size  # mmap refuses an empty file
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if size else b""
     except OSError as exc:
         raise ContainerError(f"cannot read container {path}: {exc.strerror}") from None
     return decode(buf)
@@ -117,7 +129,8 @@ def _require(ok, message):
 
 
 def decode(buf) -> H2Matrix:
-    """The matrix held in container bytes; its arrays share ``buf``'s memory."""
+    """The matrix held in container bytes; its stores share ``buf``'s memory,
+    and the arrays checked here are copies, so later writes cannot undo them."""
     _require(len(buf) >= _PREFIX.size, f"container truncated to {len(buf)} bytes")
     magic, version, hlen = _PREFIX.unpack_from(buf)
     _require(magic == MAGIC, f"not an H2 container (magic {magic!r})")
@@ -137,7 +150,8 @@ def decode(buf) -> H2Matrix:
         count = math.prod(shape)
         end = pos + count * np.dtype(dtype).itemsize
         _require(end <= len(buf), f"container truncated in array {name!r}")
-        arrays[name] = np.frombuffer(buf, dtype, count, pos).reshape(shape)
+        view = np.frombuffer(buf, dtype, count, pos).reshape(shape)
+        arrays[name] = view if name in _STORES else view.copy()
         pos = end
     _require(pos == len(buf), f"{len(buf) - pos} trailing bytes after the last array")
     _require(type(capacity) is int, f"leaf_capacity must be an integer, got {capacity!r}")

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from h2fmm import cli
 from h2fmm.cli import main
 from h2fmm.h2 import matvec
-from h2fmm.h2io import VERSION, load_h2
+from h2fmm.h2io import VERSION, decode, load_h2
 
 
 def run(args):
@@ -567,6 +569,76 @@ def test_same_out_and_summary_refused(compressed, tmp_path, monkeypatch, capsys,
     assert run(_command(name, compressed) + ["--out", "x", "--summary", summary]) == 2
     assert _usage_error(capsys)
     assert sorted(os.listdir(tmp_path)) == (["link"] if spelling == "symlink" else [])
+
+
+_READS_INPUT = {
+    "matvec-matrix-out": (["matvec", "--matrix", "m.h2", "--no-oracle", "--out", "m.h2"], "m.h2"),
+    "matvec-matrix-summary": (["matvec", "--matrix", "m.h2", "--no-oracle", "--summary", "./m.h2"], "m.h2"),
+    "matvec-matrix-symlink": (["matvec", "--matrix", "m.h2", "--no-oracle", "--out", "link"], "m.h2"),
+    "matvec-x-out": (["matvec", "--matrix", "m.h2", "--no-oracle", "--x", "x.csv", "--out", "x.csv"], "x.csv"),
+    "compress-in-out": (["compress", "--in", "p.csv", "--delta", "1e-2", "--out", "p.csv"], "p.csv"),
+    "compress-in-summary": (["compress", "--in", "p.csv", "--delta", "1e-2", "--summary", "p.csv"], "p.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READS_INPUT))
+def test_out_refuses_input_path(compressed, tmp_path, monkeypatch, capsys, case):
+    # Writing an input would destroy it; for a loaded container it would
+    # also truncate the file the matrix maps.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.h2").write_bytes(compressed[0].read_bytes())
+    np.savetxt("x.csv", np.ones(512), delimiter=",")
+    assert run(["gen", "--dist", "plummer", "--n", "300", "--out", "p.csv"]) == 0
+    os.symlink("m.h2", "link")
+    args, source = _READS_INPUT[case]
+    before = {name: (tmp_path / name).read_bytes() for name in ("m.h2", "x.csv", "p.csv")}
+    monkeypatch.setattr(cli, "load_h2", lambda path: pytest.fail("the container was loaded"))
+    monkeypatch.setattr(cli, "compress", lambda *args, **kw: pytest.fail("the compress ran"))
+    assert run(args) == 2
+    assert _usage_error(capsys)
+    assert (tmp_path / source).read_bytes() == before[source]
+    assert sorted(os.listdir(tmp_path)) == ["link", "m.h2", "p.csv", "x.csv"]
+
+
+def test_compress_out_needs_a_writable_directory(tmp_path, monkeypatch, capsys):
+    # save_h2 deletes the old container and writes a new one, so a writable
+    # file is not enough; a text output still is.
+    out, summary = tmp_path / "m.h2", tmp_path / "s.json"
+    out.write_bytes(b"old")
+    summary.write_text("old")
+    access, here = os.access, os.path.realpath(tmp_path)
+    monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and os.path.realpath(path) != here)
+    assert run(["compress", "--n", "300", "--delta", "1e-2", "--summary", str(summary)]) == 0
+    monkeypatch.setattr(cli, "compress", lambda *args, **kw: pytest.fail("the compress ran"))
+    assert run(["compress", "--n", "300", "--delta", "1e-2", "--out", str(out)]) == 2
+    assert _usage_error(capsys)
+    assert out.read_bytes() == b"old"
+
+
+def test_compress_out_refuses_a_write_protected_container(tmp_path, monkeypatch, capsys):
+    # A container the user may not write is refused, never deleted and replaced.
+    out = tmp_path / "m.h2"
+    out.write_bytes(b"old")
+    out.chmod(0o444)
+    access, target = os.access, os.path.realpath(out)  # root may write any file: deny this one
+    monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and os.path.realpath(path) != target)
+    monkeypatch.setattr(cli, "compress", lambda *args, **kw: pytest.fail("the compress ran"))
+    assert run(["compress", "--n", "300", "--delta", "1e-2", "--out", str(out)]) == 2
+    assert _usage_error(capsys)
+    assert out.read_bytes() == b"old"
+
+
+def test_compress_out_writes_into_a_fifo(tmp_path):
+    # A FIFO, like a device such as /dev/null, is written into, not replaced.
+    out = tmp_path / "fifo"
+    os.mkfifo(out)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(out.read_bytes()), daemon=True)
+    reader.start()
+    assert run(["compress", "--n", "300", "--delta", "1e-2", "--out", str(out)]) == 0
+    reader.join(10)
+    assert stat.S_ISFIFO(os.stat(out).st_mode)
+    assert decode(read[0]).n == 300
 
 
 class _ClosedPipe:

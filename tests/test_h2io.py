@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import re
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -168,6 +172,111 @@ def test_load_short_file_rejected(tiny_container, tmp_path):
     cut.write_bytes(tiny_container[: _offset(tiny_container, "coupling") + 12])
     with pytest.raises(ContainerError, match="^container truncated in array 'coupling'$"):
         load_h2(cut)
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_load_non_container_paths_rejected(tiny_container, tmp_path, kind):
+    # An empty file is test_load_short_file_rejected's first case.
+    path = tmp_path / kind
+    message = "container truncated to 0 bytes"
+    if kind == "directory":
+        path.mkdir()
+        message = f"cannot read container {path}: Is a directory"
+    else:
+        os.mkfifo(path)
+        writer = os.open(path, os.O_RDWR | os.O_NONBLOCK)  # so the reader's open does not block
+        os.write(writer, tiny_container[:64])
+    try:
+        with pytest.raises(ContainerError, match=f"^{re.escape(message)}$"):
+            load_h2(path)
+    finally:
+        if kind == "fifo":
+            os.close(writer)
+
+
+def _loaded(raw, directory):
+    """``raw`` saved at ``directory / "t.h2"``, loaded, and a product of a fresh decode."""
+    path = directory / "t.h2"
+    path.write_bytes(raw)
+    m = load_h2(path)
+    x = np.random.default_rng(5).standard_normal(m.n)
+    return path, m, x, matvec(decode(raw), x)
+
+
+def test_loaded_matrix_survives_a_save_over_its_file(tiny_container, tmp_path):
+    path, m, x, y = _loaded(tiny_container, tmp_path)
+    save_h2(m, path)  # before the first product touches the mapped stores
+    assert path.read_bytes() == tiny_container
+    assert np.array_equal(matvec(m, x), y)
+    path.unlink()
+    assert np.array_equal(matvec(m, x), y)
+    save_h2(m, path)
+    assert path.read_bytes() == tiny_container
+
+
+def test_save_through_a_symlink_replaces_the_target(tiny_container, tmp_path):
+    target, link, other = tmp_path / "target.h2", tmp_path / "link.h2", tmp_path / "other.h2"
+    target.write_bytes(b"old")
+    os.link(target, other)
+    link.symlink_to(target)
+    save_h2(decode(tiny_container), link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == tiny_container
+    assert other.read_bytes() == b"old"  # another hard link keeps the old bytes
+
+
+def test_save_writes_into_a_fifo(tiny_container, tmp_path):
+    # Only a regular file is deleted and written anew; a FIFO, like a device
+    # such as /dev/null, is written into.
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(path.read_bytes()), daemon=True)
+    reader.start()
+    save_h2(decode(tiny_container), path)
+    reader.join(10)
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+    assert read == [tiny_container]
+
+
+def test_save_never_deletes_a_file_it_may_not_write(tiny_container, tmp_path, monkeypatch):
+    path = tmp_path / "t.h2"
+    path.write_bytes(b"old")
+    path.chmod(0o444)
+    access, target = os.access, os.path.realpath(path)  # root may write any file: deny this one
+    monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode) and os.path.realpath(p) != target)
+    monkeypatch.setattr(os, "remove", lambda p: pytest.fail(f"save_h2 deleted {p}"))
+    if os.geteuid() == 0:  # open still writes it, as at every version
+        save_h2(decode(tiny_container), path)
+        assert path.read_bytes() == tiny_container
+    else:
+        with pytest.raises(PermissionError):
+            save_h2(decode(tiny_container), path)
+        assert path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("array", ["ranks", "lr_row"])
+def test_in_place_rewrite_after_load_changes_nothing(tiny_container, tmp_path, array):
+    # The checked arrays are copied out of the mapping, so a later write to
+    # the file cannot get round the checks.
+    path, m, x, y = _loaded(tiny_container, tmp_path)
+    ref = decode(tiny_container)
+    with open(path, "r+b") as fh:
+        fh.seek(_offset(tiny_container, array))
+        fh.write(b"\xff" * 8)
+    assert path.read_bytes() != tiny_container
+    assert np.array_equal(m.row_basis.ranks, ref.row_basis.ranks)
+    assert np.array_equal(m.blocks.lr_row, ref.blocks.lr_row)
+    assert np.array_equal(matvec(m, x), y)
+
+
+def test_writes_to_loaded_stores_stay_private(tiny_container, tmp_path):
+    path, m, _, _ = _loaded(tiny_container, tmp_path)
+    for store in _stores(m):
+        store[:] = 7.0
+    assert path.read_bytes() == tiny_container
+    del m
+    assert path.read_bytes() == tiny_container
 
 
 @settings(max_examples=12, deadline=None)
