@@ -35,7 +35,7 @@ from .tree import (
     neighbor_counts,
 )
 from .h2 import (
-    DEFAULT_ETA,
+    ETA,
     H2Matrix,
     build_block_tree,
     compress,

@@ -1,4 +1,4 @@
-"""Command-line front end: gen, tree-stats, compress, matvec, commsim, verify.
+"""Command-line front end: gen, tree-stats, compress, matvec, commsim.
 
 Every subcommand is deterministic given its flags and seed.  Exit codes:
 0 success, 2 usage/configuration error, malformed container or a path
@@ -39,7 +39,7 @@ from .geometry import (
     save_binary,
     save_csv,
 )
-from .h2 import compress, coupling, dense_apply, downsweep, flop_report, storage_report, upsweep
+from .h2 import ETA, compress, coupling, dense_apply, downsweep, flop_report, storage_report, upsweep
 from .h2io import VERSION, load_h2, save_h2
 from .kernels import KernelSpec, dense_matrix, oracle_limit
 from .tree import DEFAULT_LEAF_CAPACITY, balance_2to1, build_tree, depth_stats
@@ -111,7 +111,7 @@ def _json_dump(obj, path):
 
 
 def cmd_gen(args) -> int:
-    _check_writable(args.out, args.summary, binary=args.format == "bin")
+    _check_writable(args.out, None, binary=args.format == "bin")
     spec = DistributionSpec(_dist_kind(args.dist), args.n, args.seed)
     particles = generate(spec)
     if args.format == "bin":
@@ -119,20 +119,6 @@ def cmd_gen(args) -> int:
     else:
         with _text_out(args.out) as fh:
             save_csv(particles, fh)
-    if args.summary:
-        _json_dump(
-            {
-                "config": {
-                    "dist": spec.kind,
-                    "n": spec.n,
-                    "seed": spec.seed,
-                    "format": args.format,
-                    "out": args.out,
-                    "format_version": 1,
-                }
-            },
-            args.summary,
-        )
     return 0
 
 
@@ -171,7 +157,7 @@ def cmd_compress(args) -> int:
         tree = balance_2to1(tree)
     t_tree = time.perf_counter() - t0
     t0 = time.perf_counter()
-    h2 = compress(tree, kernel, eps=args.eps, max_rank=args.max_rank, eta=args.eta)
+    h2 = compress(tree, kernel, eps=args.eps, max_rank=args.max_rank)
     t_compress = time.perf_counter() - t0
     if args.out:
         save_h2(h2, args.out)
@@ -184,7 +170,7 @@ def cmd_compress(args) -> int:
             "delta": kernel.regularization,
             "sigma": kernel.sigma,
             "eps": args.eps,
-            "eta": args.eta,
+            "eta": ETA,
             "max_rank": args.max_rank,
             "leaf_capacity": args.leaf_capacity,
             "balance": args.balance,
@@ -270,8 +256,8 @@ def cmd_commsim(args) -> int:
     P_values = _int_list("--P", args.P)
     NP_values = _int_list("--n-per-p", args.n_per_p)
     spec = DistributionSpec(kind, max(NP_values), args.seed)
-    counting, mode, leaf_capacity = resolve_counting(kind, args.counting, args.mode, args.leaf_capacity)
-    reports = run_comm_experiment(spec, P_values, NP_values, mode, args.model, counting, leaf_capacity)
+    counting, mode, leaf_capacity = resolve_counting(kind, args.mode, args.leaf_capacity)
+    reports = run_comm_experiment(spec, P_values, NP_values, mode, args.model, leaf_capacity)
     for rep in reports:
         rep.check_conservation()
     with _text_out(args.out) as fh:
@@ -318,22 +304,6 @@ def cmd_commsim(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    import subprocess
-    from pathlib import Path
-
-    tests = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
-    if not tests.exists():
-        tests = Path.cwd() / "tests" / "test_acceptance.py"
-    if not tests.exists():
-        print("cannot locate tests/test_acceptance.py; run from the repository root")
-        return EXIT_GUARD
-    cmd = [sys.executable, "-m", "pytest", str(tests), "-v", "-s"]
-    if args.k:
-        cmd += ["-k", args.k]
-    return subprocess.call(cmd)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="h2fmm",
@@ -348,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "bin"), default="csv")
-    p.add_argument("--summary", default=None, help="optional config-metadata JSON")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("tree-stats", help="depth table over an n sweep")
@@ -368,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0, help="kernel regularization")
     p.add_argument("--sigma", type=float, default=1.0, help="gaussian width")
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--eta", type=float, default=1.75)
     p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--leaf-capacity", type=int, default=16)
     p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=False)
@@ -391,16 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-p", required=True, help="comma-separated N/P values")
     p.add_argument("--mode", choices=MODES, help="default: the engine's own")
     p.add_argument("--model", choices=("hier", "direct"), default="hier")
-    p.add_argument("--counting", choices=("auto", "uniform", "general"), default="auto")
     p.add_argument("--leaf-capacity", type=int, help=f"default: 1 uniform, {DEFAULT_LEAF_CAPACITY} general")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="fit JSON path (default stdout)")
     p.set_defaults(func=cmd_commsim)
-
-    p = sub.add_parser("verify", help="run the acceptance test suite")
-    p.add_argument("-k", default=None, help="pytest -k expression")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -594,21 +594,17 @@ def fit_scaling(xs, ys=None, log_base: float = 2.0) -> FitResult:
     return FitResult(exp_slope, exp_r2, log_slope, log_icpt, log_r2)
 
 
-def resolve_counting(kind: str, counting: str = "auto", mode=None, leaf_capacity=None):
+def resolve_counting(kind: str, mode=None, leaf_capacity=None):
     """The ``(counting, mode, leaf_capacity)`` a sweep over ``kind`` runs with.
 
-    ``"auto"`` is uniform counting for a random cube, general otherwise; a
-    ``None`` mode or leaf capacity is the engine's own: periodic and 1 for
-    the closed form, truncated and ``DEFAULT_LEAF_CAPACITY`` for general
-    counting, which has no periodic mode.
+    A random cube is counted in closed form (``"uniform"``), any other
+    distribution on its tree (``"general"``); a ``None`` mode or leaf
+    capacity is the engine's own: periodic and 1 for the closed form,
+    truncated and ``DEFAULT_LEAF_CAPACITY`` for general counting, which has
+    no periodic mode.
     """
-    if counting == "auto":
-        counting = "uniform" if kind == "random-cube" else "general"
-    if counting not in ("uniform", "general"):
-        raise ConfigurationError(f"unknown counting {counting!r}")
-    uniform = counting == "uniform"
-    if uniform and kind != "random-cube":
-        raise ConfigurationError(f"uniform counting models a random cube, not {kind}")
+    uniform = kind == "random-cube"
+    counting = "uniform" if uniform else "general"
     if mode is None:
         mode = "periodic" if uniform else "truncated"
     if not uniform and mode == "periodic":
@@ -624,18 +620,17 @@ def run_comm_experiment(
     NP_values,
     mode: str | None = None,
     model: str = "hier",
-    counting: str = "auto",
     leaf_capacity: int | None = None,
 ) -> list:
     """Sweep (P, N/P) combinations and return one CommReport per run.
 
-    ``counting="uniform"`` evaluates the closed-form full-tree counts
-    (random-cube only, P a power of 8, no particles generated) with
-    ``leaf_capacity`` in the local-depth formula; ``"general"`` builds the
-    2:1-balanced adaptive tree of each run with ``leaf_capacity`` particles
-    per leaf.  ``resolve_counting`` sets ``"auto"`` and the defaults.
+    A random cube is counted in closed form over full trees (P a power of
+    8, no particles generated) with ``leaf_capacity`` in the local-depth
+    formula; any other distribution builds the 2:1-balanced adaptive tree
+    of each run with ``leaf_capacity`` particles per leaf.
+    ``resolve_counting`` sets the defaults.
     """
-    counting, mode, leaf_capacity = resolve_counting(spec.kind, counting, mode, leaf_capacity)
+    counting, mode, leaf_capacity = resolve_counting(spec.kind, mode, leaf_capacity)
     reports = []
     for P in map(int, P_values):
         for n_per_p in map(int, NP_values):

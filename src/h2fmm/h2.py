@@ -51,7 +51,7 @@ from .kernels import KernelSpec, _real, kernel_block
 from .morton import MAX_LEVEL
 from .tree import Octree, _ranges_concat, node_boxes
 
-DEFAULT_ETA = 1.75  # admits same-level cells separated by >= one cell width
+ETA = 1.75  # same-level cells are admissible iff they do not touch, as in the FMM
 
 _CHUNK_ELEMENTS = 2**20  # cap on the entries of one kernel_block call
 
@@ -62,14 +62,14 @@ def _box_gap2(lo_a, sa, lo_b, sb):
     return (gap * gap).sum(axis=-1).astype(np.float64)
 
 
-def _admissible(lo_a, sa, lo_b, sb, eta):
-    """Row by row: max(diam)^2 <= eta^2 * dist^2 for the boxes lo + [0, s]^3.
+def _admissible(lo_a, sa, lo_b, sb):
+    """Row by row: max(diam)^2 <= ETA^2 * dist^2 for the boxes lo + [0, s]^3.
 
-    Boxes are closed, so touching cells are never admissible.  With the
-    default eta, same-level cells a full cell width apart are.
+    Boxes are closed, so touching cells are never admissible, and
+    same-level cells a full cell width apart are.
     """
     diam2 = 3.0 * np.maximum(sa, sb).astype(np.float64) ** 2
-    return diam2 <= eta * eta * _box_gap2(lo_a, sa, lo_b, sb)
+    return diam2 <= ETA * ETA * _box_gap2(lo_a, sa, lo_b, sb)
 
 
 def _group(keys):
@@ -218,7 +218,7 @@ class BlockTree:
         return int(np.unique(self.lr_row, return_counts=True)[1].max())
 
 
-def build_block_tree(tree: Octree, eta: float = DEFAULT_ETA) -> BlockTree:
+def build_block_tree(tree: Octree) -> BlockTree:
     """Subdivide (row, col) node pairs until admissible or both leaves.
 
     Admissible pairs become low-rank leaves; inadmissible pairs of two
@@ -230,7 +230,7 @@ def build_block_tree(tree: Octree, eta: float = DEFAULT_ETA) -> BlockTree:
     cur_j = np.zeros(1, dtype=np.int64)
     lr_i, lr_j, dn_i, dn_j = [], [], [], []
     while len(cur_i):
-        adm = _admissible(anchors[cur_i], sizes[cur_i], anchors[cur_j], sizes[cur_j], eta)
+        adm = _admissible(anchors[cur_i], sizes[cur_i], anchors[cur_j], sizes[cur_j])
         leaf_pair = tree.is_leaf[cur_i] & tree.is_leaf[cur_j]
         lr_i.append(cur_i[adm])
         lr_j.append(cur_j[adm])
@@ -292,7 +292,6 @@ class H2Matrix:
     octree: Octree
     kernel: KernelSpec
     eps: float
-    eta: float
     max_rank: int | None
     row_basis: BasisTree  # the one basis; it serves the columns too
     blocks: BlockTree
@@ -313,7 +312,7 @@ class H2Matrix:
             "n": self.n,
             "kernel": self.kernel.kind,
             "eps": self.eps,
-            "eta": self.eta,
+            "eta": ETA,
             "max_rank": self.max_rank,
             "lowrank_blocks": self.blocks.n_lowrank,
             "dense_blocks": self.blocks.n_dense,
@@ -327,12 +326,12 @@ class H2Matrix:
         }
 
 
-def _far_boxes(tree: Octree, blocks: BlockTree, radius=math.inf, eta=DEFAULT_ETA):
+def _far_boxes(tree: Octree, blocks: BlockTree, radius=math.inf):
     """Per node: the low-rank partners of the node and of its ancestors.
 
     With a finite ``radius`` (in node half-widths) only the boxes that
     come closer than that to the node's centre are kept.  The partners of
-    the ancestor k levels up lie at least sqrt(3) * 2^k / eta node widths
+    the ancestor k levels up lie at least sqrt(3) * 2^k / ETA node widths
     away, so ancestors past the radius are skipped.  Returns
     ``(ptr, boxes)``: node n's boxes are ``boxes[ptr[n]:ptr[n + 1]]``, in
     increasing id order.
@@ -342,7 +341,7 @@ def _far_boxes(tree: Octree, blocks: BlockTree, radius=math.inf, eta=DEFAULT_ETA
     nodes = anc = np.arange(tree.n_nodes)
     found_i, found_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     k = 0
-    while len(nodes) and math.sqrt(3.0) * 2**k / eta < radius / 2:
+    while len(nodes) and math.sqrt(3.0) * 2**k / ETA < radius / 2:
         deg = own[anc + 1] - own[anc]
         has = deg > 0
         i = np.repeat(nodes[has], deg[has])
@@ -465,7 +464,7 @@ def _pivoted_rows(b, k):
     return np.array(picked, dtype=np.int64)
 
 
-def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree, eta):
+def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree):
     """Bottom-up nested basis over skeleton points.
 
     A node's rows are its particles (a leaf) or its children's skeleton
@@ -474,7 +473,7 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree, eta):
     skeleton points s and the map G with U^T K(node, far) ~ G K(s, far).
     """
     radius = PROXY_RADIUS if kernel.kind in PROXY_KINDS else math.inf
-    ptr, boxes = _far_boxes(tree, blocks, radius, eta)
+    ptr, boxes = _far_boxes(tree, blocks, radius)
     has_far = np.zeros(tree.n_nodes, dtype=bool)
     has_far[blocks.lr_row] = True
     for level in range(1, tree.depth + 1):
@@ -585,14 +584,12 @@ def _fill_coupling(store, kernel, skel, gmat, ranks):
     store.fill(lambda ri, rj: (ri + 2) * (rj + 2), blocks)
 
 
-def check_parameters(kernel: KernelSpec, eps, eta, max_rank) -> None:
-    """Raise ConfigurationError unless eps is a real in (0, 1), eta a finite
-    real > 0, max_rank None or an integer >= 1 (a bool is none of these),
-    and the kernel is finite on the diagonal."""
+def check_parameters(kernel: KernelSpec, eps, max_rank) -> None:
+    """Raise ConfigurationError unless eps is a real in (0, 1), max_rank
+    None or an integer >= 1 (a bool is neither), and the kernel is finite
+    on the diagonal."""
     if not (_real(eps) and 0.0 < eps < 1.0):
         raise ConfigurationError(f"eps must be in (0, 1), got {eps!r}")
-    if not (_real(eta) and math.isfinite(eta) and eta > 0.0):
-        raise ConfigurationError(f"eta must be finite and > 0, got {eta!r}")
     if max_rank is not None and not (
         isinstance(max_rank, numbers.Integral) and _real(max_rank) and max_rank >= 1
     ):
@@ -609,7 +606,6 @@ def compress(
     kernel: KernelSpec,
     eps: float = 1e-6,
     max_rank: int | None = None,
-    eta: float = DEFAULT_ETA,
 ) -> H2Matrix:
     """Build the H2 representation of the kernel matrix over ``tree``.
 
@@ -630,8 +626,6 @@ def compress(
     max_rank : int or None
         Cap on per-node rank, at least 1; nodes that hit the cap with a
         residual tail above eps are reported in the build summary.
-    eta : float
-        Admissibility parameter, finite and above 0.
 
     Returns
     -------
@@ -640,13 +634,13 @@ def compress(
     Raises
     ------
     ConfigurationError
-        For an eps, max_rank or eta of the wrong type or out of range,
+        For an eps or max_rank of the wrong type or out of range,
         or a singular kernel without regularization
         (:func:`check_parameters`).
     """
-    check_parameters(kernel, eps, eta, max_rank)
-    blocks = build_block_tree(tree, eta)
-    ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, max_rank, blocks, eta)
+    check_parameters(kernel, eps, max_rank)
+    blocks = build_block_tree(tree)
+    ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, max_rank, blocks)
     basis, pairs, dense = _storage(tree, blocks, ranks)
     for nodes, out in basis.groups():
         np.stack([mats[n] for n in nodes.tolist()], out=out)
@@ -657,7 +651,6 @@ def compress(
         octree=tree,
         kernel=kernel,
         eps=eps,
-        eta=eta,
         max_rank=max_rank,
         row_basis=BasisTree(ranks=ranks, tails=tails, mats=basis),
         blocks=blocks,

@@ -13,18 +13,19 @@ built from, and the reader rebuilds the tree with :func:`build_tree`
 coincident particles past level 21.  A position that is not finite or
 outside [0, 1)^3, a repeated particle index, a ``leaf_capacity`` that is
 not an integer >= 1, a ``balanced`` that is not a bool, a kernel,
-``eps``, ``eta`` or ``max_rank`` that :func:`compress` would refuse, a
-tail that is not finite or below 0, and a node count other than the
-rebuilt tree's are rejected; so are ranks and block ids that do not fit
-the rebuilt tree, and block pairs not sorted by row node.  The basis,
-coupling and dense data are not scanned; ``h2fmm matvec`` rejects a
-product that is not finite.  The basis shape groups and the block-row
-layout of the coupling and dense data are rebuilt from the tree, block
-partition and ranks, which must imply the stored data lengths.  A
-read-back reproduces the matrix bit for bit; gather arrays are not stored.
-The loaded stores map the file: a save over it leaves them intact, but a
-program that truncates or rewrites it in place can change them or raise
-SIGBUS; ``decode(Path(path).read_bytes())`` takes a private snapshot.
+``eps`` or ``max_rank`` that :func:`compress` would refuse, an ``eta``
+other than ``h2.ETA``, a tail that is not finite or below 0, and a node
+count other than the rebuilt tree's are rejected; so are ranks and block
+ids that do not fit the rebuilt tree, and block pairs not sorted by row
+node.  The basis, coupling and dense data are not scanned;
+``h2fmm matvec`` rejects a product that is not finite.  The basis shape
+groups and the block-row layout of the coupling and dense data are
+rebuilt from the tree, block partition and ranks, which must imply the
+stored data lengths.  A read-back reproduces the matrix bit for bit;
+gather arrays are not stored.  The loaded stores map the file: a save
+over it leaves them intact, but a program that truncates or rewrites it
+in place can change them or raise SIGBUS;
+``decode(Path(path).read_bytes())`` takes a private snapshot.
 """
 from __future__ import annotations
 
@@ -34,13 +35,14 @@ import json
 import math
 import mmap
 import os
+import stat
 import struct
 
 import numpy as np
 
 from .errors import ContainerError
 from .geometry import ParticleSet
-from .h2 import BasisTree, BlockTree, H2Matrix, _storage, check_parameters
+from .h2 import ETA, BasisTree, BlockTree, H2Matrix, _storage, check_parameters
 from .kernels import KernelSpec
 from .tree import balance_2to1, build_tree
 
@@ -85,7 +87,7 @@ def save_h2(h2: H2Matrix, path) -> None:
     header = {
         "kernel": dataclasses.asdict(h2.kernel),
         "eps": h2.eps,
-        "eta": h2.eta,
+        "eta": ETA,
         "max_rank": h2.max_rank,
         "n": tree.n_particles,
         "n_nodes": tree.n_nodes,
@@ -113,11 +115,18 @@ def save_h2(h2: H2Matrix, path) -> None:
 
 
 def load_h2(path) -> H2Matrix:
-    """Map a container written by :func:`save_h2` copy-on-write and decode it."""
+    """Map a container written by :func:`save_h2` copy-on-write and decode it.
+
+    Anything but a regular file is refused, a FIFO without waiting for a
+    writer.  Each loaded matrix holds one open file descriptor until it is
+    freed: ``mmap`` keeps a duplicate, before Python 3.13 without a way to
+    drop it.  ``decode(Path(path).read_bytes())`` holds none."""
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size  # mmap refuses an empty file
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if size else b""
+        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise ContainerError(f"cannot read container {path}: not a regular file")
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if info.st_size else b""
     except OSError as exc:
         raise ContainerError(f"cannot read container {path}: {exc.strerror}") from None
     return decode(buf)
@@ -156,11 +165,12 @@ def decode(buf) -> H2Matrix:
     _require(pos == len(buf), f"{len(buf) - pos} trailing bytes after the last array")
     _require(type(capacity) is int, f"leaf_capacity must be an integer, got {capacity!r}")
     _require(type(balanced) is bool, f"balanced must be true or false, got {balanced!r}")
+    _require(eta == ETA, f"eta must be {ETA}, got {eta!r}")
     tails = arrays["tails"]
     _require(np.isfinite(tails).all() and (tails >= 0).all(), "tails must be finite and >= 0")
     try:
         kernel = KernelSpec(**header["kernel"])
-        check_parameters(kernel, eps, eta, max_rank)
+        check_parameters(kernel, eps, max_rank)
         particles = ParticleSet(arrays["positions"], arrays["indices"], arrays["charges"])
         tree = build_tree(particles, capacity)
         tree = balance_2to1(tree) if balanced else tree
@@ -189,7 +199,6 @@ def decode(buf) -> H2Matrix:
         octree=tree,
         kernel=kernel,
         eps=eps,
-        eta=eta,
         max_rank=max_rank,
         row_basis=BasisTree(ranks=ranks, tails=tails, mats=stores[0]),
         blocks=blocks,

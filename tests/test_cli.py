@@ -234,7 +234,7 @@ def test_compress_singular_kernel_without_delta_rejected(tmp_path, capsys, kerne
 
 @pytest.mark.parametrize(
     "flags",
-    [["--eps", "0"], ["--eps", "-1"], ["--max-rank", "0"], ["--eta", "0"], ["--eta", "-1"]],
+    [["--eps", "0"], ["--eps", "-1"], ["--max-rank", "0"], ["--eps", "nan"], ["--max-rank", "-1"]],
 )
 def test_compress_out_of_range_parameters_rejected(tmp_path, capsys, flags):
     out = tmp_path / "m.h2"
@@ -248,16 +248,6 @@ def test_compress_out_of_range_parameters_rejected(tmp_path, capsys, flags):
 def test_commsim_zero_leaf_capacity_rejected(tmp_path, capsys):
     out = tmp_path / "o.csv"
     rc = run(["commsim", "--P", "8", "--n-per-p", "64", "--leaf-capacity", "0", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_commsim_uniform_counting_needs_random_cube(tmp_path, capsys):
-    out = tmp_path / "o.csv"
-    args = ["commsim", "--dist", "plummer", "--P", "8", "--n-per-p", "512"]
-    rc = run(args + ["--counting", "uniform", "--mode", "truncated", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -411,7 +401,7 @@ def test_tree_stats_checks_out_before_the_sweep(tmp_path, monkeypatch, capsys):
     assert _usage_error(capsys)
 
 
-@pytest.mark.parametrize("name", ["gen", "compress", "matvec", "commsim"])
+@pytest.mark.parametrize("name", ["compress", "matvec", "commsim"])
 def test_no_partial_output_when_a_later_path_fails(compressed, tmp_path, capsys, name):
     out, summary = tmp_path / "out", tmp_path / "missing" / "s.json"
     assert run(_command(name, compressed) + ["--out", str(out), "--summary", str(summary)]) == 2
@@ -528,15 +518,10 @@ def test_commsim_models_share_metadata_columns(tmp_path):
     assert direct_meta and direct_meta <= hier_meta
 
 
-def test_verify_subcommand_smoke():
-    rc = run(["verify", "-k", "criterion_01"])
-    assert rc == 0
-
-
 @pytest.mark.parametrize("name", ["gen", "commsim", "matvec"])
 def test_dash_out_is_stdout(compressed, tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
-    args = _command(name, compressed) + ["--summary", "s.json"]
+    args = _command(name, compressed) + ([] if name == "gen" else ["--summary", "s.json"])
     assert run(args + ["--out", "file.txt"]) == 0
     capsys.readouterr()
     assert run(args + ["--out", "-"]) == 0
@@ -559,7 +544,7 @@ def test_binary_out_refuses_stdout(tmp_path, monkeypatch, capsys, args):
 
 
 @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
-@pytest.mark.parametrize("name", ["compress", "commsim", "gen", "matvec"])
+@pytest.mark.parametrize("name", ["compress", "commsim", "matvec"])
 def test_same_out_and_summary_refused(compressed, tmp_path, monkeypatch, capsys, name, spelling):
     # The summary is written last, so it would silently replace the output.
     monkeypatch.chdir(tmp_path)

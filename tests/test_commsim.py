@@ -642,15 +642,11 @@ def test_run_experiment_general_counting():
     assert reports[0].P == 4
     with pytest.raises(ConfigurationError):
         run_comm_experiment(spec, [4], [64], mode="periodic")
-    # The closed form models a random cube only.
-    with pytest.raises(ConfigurationError):
-        run_comm_experiment(spec, [8], [64], mode="truncated", counting="uniform")
 
 
 def test_resolve_counting_engine_defaults():
     assert resolve_counting("random-cube") == ("uniform", "periodic", 1)
     assert resolve_counting("plummer") == ("general", "truncated", 16)
-    assert resolve_counting("random-cube", "general") == ("general", "truncated", 16)
     assert resolve_counting("random-cube", mode="truncated", leaf_capacity=4) == (
         "uniform",
         "truncated",
@@ -658,14 +654,8 @@ def test_resolve_counting_engine_defaults():
     )
     # An explicit 0 is passed on, for the engine to reject, not defaulted.
     assert resolve_counting("plummer", leaf_capacity=0)[2] == 0
-    for kind, counting, mode in [
-        ("plummer", "auto", "periodic"),
-        ("random-cube", "general", "periodic"),
-        ("plummer", "uniform", None),
-        ("plummer", "closed-form", None),
-    ]:
-        with pytest.raises(ConfigurationError):
-            resolve_counting(kind, counting, mode)
+    with pytest.raises(ConfigurationError):
+        resolve_counting("plummer", "periodic")
 
 
 def test_run_experiment_one_leaf_capacity():

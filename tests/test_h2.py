@@ -53,12 +53,12 @@ def h2_512(tree512):
     return compress(tree512, LAPLACE, eps=1e-6)
 
 
-def admissible(a, b, level, eta=h2_module.DEFAULT_ETA):
+def admissible(a, b, level):
     """``_admissible`` on two same-level cells given by their coordinates."""
     shift = MAX_LEVEL - level
     lo_a, lo_b = (np.array([c], dtype=np.int64) << shift for c in (a, b))
     size = np.array([1 << shift])
-    return bool(_admissible(lo_a, size, lo_b, size, eta)[0])
+    return bool(_admissible(lo_a, size, lo_b, size)[0])
 
 
 def test_admissible_identical_cell_false():
@@ -75,13 +75,8 @@ def test_admissible_two_widths_apart_true():
     assert admissible((0, 0, 0), (2, 2, 2), 2)  # diagonal
 
 
-def test_admissible_eta_sensitivity():
-    assert not admissible((0, 0, 0), (2, 0, 0), 3, eta=1.0)  # needs dist >= diam
-    assert admissible((0, 0, 0), (2, 0, 0), 3, eta=4.0)
-
-
 def test_block_tree_partitions_index_square(tree512):
-    bt = build_block_tree(tree512, 1.75)
+    bt = build_block_tree(tree512)
     t = tree512
     total = 0
     for i, j in zip(bt.lr_row, bt.lr_col):
@@ -98,7 +93,7 @@ def test_block_row_bound_flat_across_sweep():
     maxima = []
     for n in (4096, 8192, 16384):
         t = build_tree(generate(DistributionSpec("random-cube", n, seed=1)), 16)
-        maxima.append(build_block_tree(t, 1.75).max_blocks_per_row())
+        maxima.append(build_block_tree(t).max_blocks_per_row())
     assert max(maxima) - min(maxima) <= 1
     assert maxima[0] == 189  # full FMM interaction list
 
@@ -503,8 +498,8 @@ def test_compress_validation(tree512):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(eps=0.0), dict(eps=-1.0), dict(eps=1.0), dict(max_rank=0),
-     dict(eta=0.0), dict(eta=-1.0), dict(eta=float("inf")), dict(eta=float("nan")),
-     dict(eps="x"), dict(eps=True), dict(eta=True), dict(max_rank=1.5), dict(max_rank=True)],
+     dict(eps=float("inf")), dict(eps=float("nan")), dict(max_rank=-1), dict(max_rank=float("inf")),
+     dict(eps="x"), dict(eps=True), dict(eps=None), dict(max_rank=1.5), dict(max_rank=True)],
 )
 def test_compress_out_of_range_parameters_rejected(tree512, kwargs):
     with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -45,7 +46,7 @@ def test_container_roundtrip_bitwise(small_h2, tmp_path):
     back = load_h2(path)
     assert back.n == small_h2.n
     assert back.kernel == small_h2.kernel
-    assert back.eps == small_h2.eps and back.eta == small_h2.eta
+    assert back.eps == small_h2.eps and _header(path.read_bytes())["eta"] == 1.75
     assert np.array_equal(back.octree.keys, small_h2.octree.keys)
     assert np.array_equal(back.octree.order, small_h2.octree.order)
     assert np.array_equal(back.row_basis.ranks, small_h2.row_basis.ranks)
@@ -178,7 +179,7 @@ def test_load_short_file_rejected(tiny_container, tmp_path):
 def test_load_non_container_paths_rejected(tiny_container, tmp_path, kind):
     # An empty file is test_load_short_file_rejected's first case.
     path = tmp_path / kind
-    message = "container truncated to 0 bytes"
+    message = f"cannot read container {path}: not a regular file"
     if kind == "directory":
         path.mkdir()
         message = f"cannot read container {path}: Is a directory"
@@ -192,6 +193,28 @@ def test_load_non_container_paths_rejected(tiny_container, tmp_path, kind):
     finally:
         if kind == "fifo":
             os.close(writer)
+
+
+def test_load_fifo_without_writer_does_not_block(tmp_path):
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    raised = []
+
+    def load():
+        try:
+            load_h2(path)
+        except ContainerError as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=load, daemon=True)
+    reader.start()
+    try:
+        reader.join(10)
+        assert not reader.is_alive(), "load_h2 blocked on a FIFO with no writer"
+        assert len(raised) == 1 and "not a regular file" in str(raised[0])
+    finally:
+        with contextlib.suppress(OSError):  # releases a reader blocked in open
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
 
 
 def _loaded(raw, directory):
@@ -349,6 +372,7 @@ CORRUPT = {
     "eta-str": dict(header=lambda head: {"eta": "x"}),
     "eta-negative": dict(header=lambda head: {"eta": -1}),
     "eta-true": dict(header=lambda head: {"eta": True}),
+    "eta-2": dict(header=lambda head: {"eta": 2.0}),
     "max-rank-0": dict(header=lambda head: {"max_rank": 0}),
     "max-rank-1.5": dict(header=lambda head: {"max_rank": 1.5}),
     "max-rank-str": dict(header=lambda head: {"max_rank": "x"}),
