@@ -26,13 +26,13 @@ from .tree import (
     DEFAULT_LEAF_CAPACITY,
     CellLocator,
     Octree,
-    _level_pairs,
     _ranges_concat,
     balance_2to1,
     build_tree,
     leaf_adjacency_pairs,
     node_boxes,
     node_leaves,
+    sibling_halos,
     sorted_unique,
 )
 
@@ -437,11 +437,11 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
 
 
 def sim_global_m2l(split: GlobalLocalSplit) -> PhaseResult:
-    """Interaction halos of global-tree cells, two cells wide per level."""
+    """Interaction halos of global-tree cells, two cells wide per level and sibling group."""
     sources = split.tags != TAG_LOCAL
     needs = []
     for level in range(1, split.sim_depth + 1):
-        src, dst = _level_pairs(split.locator, level, radius=2, sources=sources)
+        src, dst = sibling_halos(split.locator, level, sources, split.owner_lo, split.owner_hi)
         needs.append((level, *_remote(split, *_owner_needs(split, src, dst))))
     return _accumulate_phase(split, "global-m2l", needs)
 
@@ -452,14 +452,14 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
     Needed cells are existing same-level cells within Chebyshev distance
     two of a process's strictly-local cells, owned by another process
     and not part of the global tree.  A cell that is not global has one
-    owner, so each source passes its ``owner_lo`` alone; interior sources
-    are skipped.
+    owner, so sibling groups split on ``owner_lo`` alone; interior
+    sources are skipped.
     """
     tree = split.tree
     sources = (split.tags == TAG_LOCAL) & ~_interior(split, 2)
     needs = []
     for level in range(1, tree.depth + 1):
-        src, dst = _level_pairs(split.locator, level, radius=2, sources=sources)
+        src, dst = sibling_halos(split.locator, level, sources, split.owner_lo)
         keep = split.tags[dst] != TAG_GLOBAL
         procs = split.owner_lo[src[keep]].astype(np.int64)
         needs.append((level, *_remote(split, procs, dst[keep])))
@@ -495,7 +495,7 @@ def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     P = split.partition.P
     needs = []
     for level in range(1, tree.depth + 1):
-        src, dst = _level_pairs(split.locator, level, radius=2)
+        src, dst = sibling_halos(split.locator, level, None, split.owner_lo, split.owner_hi)
         needs.append(_remote(split, *_owner_needs(split, src, dst)))
     q, m = leaf_adjacency_pairs(split.locator)
     procs = split.partition.leaf_process[q].astype(np.int64)

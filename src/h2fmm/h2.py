@@ -182,9 +182,9 @@ class BlockRows:
         g, y = x[gather], np.zeros(size)
         t = np.empty(len(gather)) if both_ways else None
         for b, cat, slot in rows:
-            np.matmul(g[cat], b, out=y[slot])
+            np.dot(g[cat], b, out=y[slot])
             if both_ways:
-                np.matmul(b, x[slot], out=t[cat])
+                np.dot(b, x[slot], out=t[cat])
         return y + np.bincount(gather, t, minlength=size) if both_ways else y
 
 

@@ -276,6 +276,12 @@ def balance_2to1(tree: Octree) -> Octree:
     return assemble(tree.keys[tree.leaf_ids], tree.levels[tree.leaf_ids]) if out is tree else out
 
 
+_SLOT_BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # x, y, z bits of each child slot
+# Bit b of _REACH[j]: child j of a parent's 27 colleagues (in ``near`` order) is within 2 of child b.
+_CHILD_CELLS = 2 * np.array(list(itertools.product((-1, 0, 1), repeat=3)))[:, None] + _SLOT_BITS
+_REACH = np.packbits(abs(_CHILD_CELLS.reshape(216, 1, 3) - _SLOT_BITS).max(2) <= 2, 1, bitorder="little")[:, 0]
+
+
 class CellLocator:
     """Colleague table of one tree (Carrier, Greengard and Rokhlin, 1988).
 
@@ -318,11 +324,10 @@ class CellLocator:
         ``itertools.product`` order, the entry of each of ``nodes``' cells
         moved by that offset; ``nodes`` may mix levels."""
         tree = self.tree
-        shifts = range(-radius, radius + 1)
-        offsets = [off for off in itertools.product(shifts, repeat=3) if any(off)]
+        offsets = [o for o in itertools.product(range(-radius, radius + 1), repeat=3) if any(o)]
         # Per child position b (x bit 4, y bit 2, z bit 1) and offset d, per axis
         # s = b_axis + d: the parent's colleague s >> 1 and its child s & 1.
-        s = ((np.arange(8)[:, None, None] >> np.array([2, 1, 0])) & 1) + np.array(offsets)
+        s = _SLOT_BITS[:, None] + np.array(offsets)
         cols, slots = ((s >> 1) + 1) @ [9, 3, 1], (s & 1) @ [4, 2, 1]
         b = (tree.keys[nodes] & _U(7)).astype(np.intp)
         start = self.row[tree.parents[nodes]] * 27  # a root reads the empty row
@@ -345,23 +350,28 @@ def node_leaves(tree: Octree):
     return first, end - first
 
 
-def _level_pairs(loc: CellLocator, level: int, radius: int, sources=None):
-    """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius`` <= 2.
+def sibling_halos(loc: CellLocator, level: int, sources=None, *labels):
+    """(first, cell) pairs: each sibling group's cells at ``level`` within
+    Chebyshev distance 2 of one of its nodes, the group's own included.
 
-    ``sources``, a boolean mask over all nodes, limits ``src`` to the
-    masked nodes; they alone are looked up.
+    A group is a run of ``level``'s nodes in the mask ``sources`` (default
+    all) with one parent and equal entries in each array of ``labels``;
+    ``first`` is its first node.  Its cells are the children of the
+    parent's 27 colleagues, kept by a mask of the group's child slots.
     """
     tree = loc.tree
-    lo, hi = int(tree.level_ptr[level]), int(tree.level_ptr[level + 1])
-    ids = lo + (np.arange(hi - lo) if sources is None else np.flatnonzero(sources[lo:hi]))
-    if not len(ids):
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    srcs, dsts = [], []
-    for dst in loc.neighbours(ids, radius):
-        found = loc.levels[dst] == level
-        srcs.append(ids[found])
-        dsts.append(dst[found])
-    return np.concatenate(srcs), np.concatenate(dsts).astype(np.int64)
+    ids = tree.level_nodes(level)
+    ids = ids if sources is None else ids[sources[ids]]
+    parents = tree.parents[ids]
+    new = np.arange(len(ids)) == 0
+    for a in (parents, *(lab[ids] for lab in labels)):
+        new[1:] |= a[1:] != a[:-1]
+    starts = np.flatnonzero(new)
+    slots = np.bitwise_or.reduceat(np.left_shift(1, tree.keys[ids] & _U(7), dtype=np.uint8), starts)
+    near = loc.near[loc.row[parents[starts]]]  # -1, the empty cell, reads the child table's last row
+    cells = loc.child[(near[:, :, None] * 8 + np.arange(8, dtype=np.int32)).reshape(-1, 216)]
+    keep = np.flatnonzero((slots[:, None] & _REACH != 0) & (loc.levels[cells] == level))
+    return ids[starts[keep // 216]], cells.ravel()[keep].astype(np.int64)
 
 
 def leaf_adjacency_pairs(loc: CellLocator, among=None):

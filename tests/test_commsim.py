@@ -35,13 +35,32 @@ from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, ParticleSet, ge
 from h2fmm.morton import decode_cells
 from h2fmm.tree import (
     CellLocator,
-    _level_pairs,
     balance_2to1,
     build_tree,
     leaf_adjacency_pairs,
     sorted_unique,
 )
 from test_tree import brute_adjacent_pairs
+
+
+def _level_pairs(loc, level, radius, sources=None):
+    """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius`` <= 2.
+
+    ``sources``, a boolean mask over all nodes, limits ``src`` to the
+    masked nodes; they alone are looked up.  The per-source enumeration
+    that ``tree.sibling_halos`` replaced, kept as its oracle.
+    """
+    tree = loc.tree
+    lo, hi = int(tree.level_ptr[level]), int(tree.level_ptr[level + 1])
+    ids = lo + (np.arange(hi - lo) if sources is None else np.flatnonzero(sources[lo:hi]))
+    if not len(ids):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    srcs, dsts = [], []
+    for dst in loc.neighbours(ids, radius):
+        found = loc.levels[dst] == level
+        srcs.append(ids[found])
+        dsts.append(dst[found])
+    return np.concatenate(srcs), np.concatenate(dsts).astype(np.int64)
 
 
 def lattice_tree(level, per_cell, leaf_capacity=16, seed=0):
@@ -511,6 +530,70 @@ def test_locator_lookups_match_bruteforce(kind, n, seed, leaf_capacity, balanced
     assert set(zip(q.tolist(), m.tolist())) == {
         (a, b) for a, b in brute if a in wanted and b in wanted
     }
+
+
+HALO_PHASES = (sim_global_m2l, sim_local_m2l, sim_direct_let)
+
+
+def _per_source_halos(loc, level, sources=None, *labels):
+    """``tree.sibling_halos`` replaced by the per-source oracle: every
+    source lists its own cells, and the phases' accounting is unchanged."""
+    return _level_pairs(loc, level, 2, sources)
+
+
+def _halo_phases_match_oracle(split):
+    grouped = [_phase_digest(sim(split)) for sim in HALO_PHASES]
+    with mock.patch.object(commsim, "sibling_halos", _per_source_halos):
+        assert grouped == [_phase_digest(sim(split)) for sim in HALO_PHASES]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 32),
+    balanced=st.booleans(),
+    data=st.data(),
+)
+@example(kind="plummer", n=3000, seed=0, leaf_capacity=1, balanced=False, data=None)
+@example(kind="sphere-surface", n=3000, seed=1, leaf_capacity=4, balanced=True, data=None)
+def test_sibling_halo_phases_match_per_source_pairs(kind, n, seed, leaf_capacity, balanced, data):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    # An explicit example (no data) takes the largest P: one leaf per process.
+    P = data.draw(st.integers(1, tree.n_leaves), label="P") if data else tree.n_leaves
+    _halo_phases_match_oracle(split_global_local(tree, partition_sfc(tree, P)))
+
+
+def test_sibling_halo_phases_cover_group_shapes():
+    # The fixtures hold every group shape the grouping must get right.
+    seen = set()
+    for kind, P in (("plummer", 3), ("plummer", 37), ("sphere-surface", 8), ("random-cube", 100)):
+        tree = balance_2to1(build_tree(generate(DistributionSpec(kind, 3000, seed=3)), 4))
+        split = split_global_local(tree, partition_sfc(tree, P))
+        _halo_phases_match_oracle(split)
+        inner = tree.parents >= 0
+        if (tree.child_count[tree.parents[inner]] < 8).any():
+            seen.add("parent with fewer than 8 children")
+        if (split.owner_lo[inner & (tree.levels == 1)] < split.owner_hi[inner & (tree.levels == 1)]).any():
+            seen.add("level-1 group under the root, several owners")
+        # A multi-owner node is a group of its own (a sibling sharing its
+        # owners would hold the same cut); its parent's other children group
+        # around it.
+        multi = split.owner_lo < split.owner_hi
+        deep = np.flatnonzero(inner & (tree.levels >= 2))
+        split_parents = np.intersect1d(tree.parents[deep[multi[deep]]], tree.parents[deep[~multi[deep]]])
+        if len(split_parents):
+            seen.add("multi-owner group beside single-owner siblings")
+        # Local siblings of one owner, some interior at radius 2 and some not.
+        local = np.flatnonzero(split.tags == commsim.TAG_LOCAL)
+        interior = commsim._interior(split, 2)[local]
+        same = (np.diff(tree.parents[local]) == 0) & (np.diff(split.owner_lo[local]) == 0)
+        if (same & (interior[1:] != interior[:-1])).any():
+            seen.add("local group mixing interior and non-interior siblings")
+    assert len(seen) == 4, seen
 
 
 def test_direct_let_p1_zero():
