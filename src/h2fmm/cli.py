@@ -197,7 +197,7 @@ def cmd_matvec(args) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     if args.x:
         try:
-            x = np.loadtxt(args.x, delimiter=",")
+            x = np.loadtxt(args.x, delimiter=",", ndmin=1)  # one value is a vector too
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read vector {args.x}: {exc}") from None
         if x.shape != (n,):
@@ -264,6 +264,7 @@ def cmd_commsim(args) -> int:
         write_reports_csv(reports, fh)
     fits = {}
     if args.model == "hier" and len(reports) >= 4:
+        reports.sort(key=lambda rep: (rep.P, rep.n_per_p))  # fit_scaling takes ascending x
         xs_p = [rep.P for rep in reports]
         xs_np = [rep.n_per_p for rep in reports]
         if len(set(xs_p)) == len(xs_p) and len(set(xs_np)) == 1:

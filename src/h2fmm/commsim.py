@@ -80,55 +80,38 @@ def partition_sfc(tree: Octree, P: int) -> Partition:
     return Partition(P=P, leaf_process=leaf_process, proc_particle_counts=pcounts)
 
 
-TAG_LOCAL = 0
-TAG_GLOBAL = 1
-TAG_LOCAL_ROOT = 2
-
-
 @dataclass
 class GlobalLocalSplit:
-    """Per-node ownership tags separating the global and local trees.
+    """The global and local trees, read off each node's owner interval.
 
-    A node is global when its leaves span more than one process; a local
-    root is a maximal single-owner node (its parent is global, or it is
-    the root).  Everything below a local root is local.  A process whose
+    Node n's leaves belong to processes ``owner_lo[n]`` to ``owner_hi[n]``.
+    A node is global when that is more than one process; a local root is
+    a maximal single-owner node (its parent is global, or it is the
+    root).  Everything below a local root is local.  A process whose
     Morton range is not a single subtree has several local roots.
-
-    ``sim_depth`` is the level just below the deepest global node: the
-    global phases sweep levels 1 to ``sim_depth``, which takes in the
-    two-process chains that a Morton cut drags below the levels where
-    every process already owns a private subtree.
+    ``upper`` marks the global nodes and the local roots: the sources of
+    the global phases.
     """
 
     tree: Octree
     partition: Partition
-    tags: np.ndarray
     owner_lo: np.ndarray
     owner_hi: np.ndarray
-    sim_depth: int
+    upper: np.ndarray
     locator: CellLocator  # the tree's colleague table, built once and shared by the phases of one run
 
 
 def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
-    """Tag every node as global, local root, or local."""
-    n_nodes = tree.n_nodes
+    """Each node's owner interval, and the global nodes and local roots."""
     first, count = node_leaves(tree)
     owner_lo, owner_hi = partition.leaf_process[[first, first + count - 1]].astype(np.int32)
-    multi = owner_lo != owner_hi
-    tags = np.zeros(n_nodes, dtype=np.int8)
-    tags[multi] = TAG_GLOBAL
-    parent_multi = np.zeros(n_nodes, dtype=bool)
-    has_parent = tree.parents >= 0
-    parent_multi[has_parent] = multi[tree.parents[has_parent]]
-    tags[~multi & (parent_multi | ~has_parent)] = TAG_LOCAL_ROOT
-    sim_depth = int(tree.levels[multi].max()) + 1 if multi.any() else 0
+    multi = np.append(owner_lo != owner_hi, True)  # the root's parent, -1, reads the True
     return GlobalLocalSplit(
         tree=tree,
         partition=partition,
-        tags=tags,
         owner_lo=owner_lo,
         owner_hi=owner_hi,
-        sim_depth=sim_depth,
+        upper=multi[:-1] | multi[tree.parents],
         locator=CellLocator(tree),
     )
 
@@ -363,6 +346,21 @@ def _owner_needs(split, nodes, cells):
     return procs, np.repeat(cells, span)
 
 
+def _halo_needs(split, level, sources):
+    """Remote needs of every owner of a ``sources`` node at ``level`` (every
+    node when None) for the cells within two of it, per sibling group."""
+    src, dst = sibling_halos(split.locator, level, sources, split.owner_lo, split.owner_hi)
+    return _remote(split, *_owner_needs(split, src, dst))
+
+
+def _touch_needs(split, among=None):
+    """Remote needs of each leaf's process for the leaves touching it, both
+    among the leaf-table positions ``among`` (default all)."""
+    q, m = leaf_adjacency_pairs(split.locator, among=among)
+    procs = split.partition.leaf_process[q].astype(np.int64)
+    return _remote(split, procs, split.tree.leaf_ids[m].astype(np.int64))
+
+
 def _dedup(split, procs, cells):
     """Distinct (process, cell) needs, each with its sender: the cell's first owner."""
     n_nodes = np.int64(split.tree.n_nodes)
@@ -418,15 +416,15 @@ def _interior(split, radius):
 def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
     """Sibling exchanges up the global tree.
 
-    At each global level every co-owner of a cell pulls the sibling
-    cells it does not co-own, one cell each, from the sibling's first
-    owner.
+    At each level every co-owner of a global node or local root pulls
+    the sibling cells it does not co-own, one cell each, from the
+    sibling's first owner.
     """
     tree = split.tree
     needs = []
-    for level in range(1, split.sim_depth + 1):
+    for level in range(1, tree.depth + 1):
         ids = tree.level_nodes(level)
-        ids = ids[split.tags[ids] != TAG_LOCAL]
+        ids = ids[split.upper[ids]]
         parents = tree.parents[ids].astype(np.int64)
         sib_count = tree.child_count[parents].astype(np.int64)
         sibs = _ranges_concat(tree.child_start[parents].astype(np.int64), sib_count)
@@ -438,11 +436,7 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
 
 def sim_global_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """Interaction halos of global-tree cells, two cells wide per level and sibling group."""
-    sources = split.tags != TAG_LOCAL
-    needs = []
-    for level in range(1, split.sim_depth + 1):
-        src, dst = sibling_halos(split.locator, level, sources, split.owner_lo, split.owner_hi)
-        needs.append((level, *_remote(split, *_owner_needs(split, src, dst))))
+    needs = [(level, *_halo_needs(split, level, split.upper)) for level in range(1, split.tree.depth + 1)]
     return _accumulate_phase(split, "global-m2l", needs)
 
 
@@ -456,11 +450,11 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
     sources are skipped.
     """
     tree = split.tree
-    sources = (split.tags == TAG_LOCAL) & ~_interior(split, 2)
+    sources = ~split.upper & ~_interior(split, 2)
     needs = []
     for level in range(1, tree.depth + 1):
         src, dst = sibling_halos(split.locator, level, sources, split.owner_lo)
-        keep = split.tags[dst] != TAG_GLOBAL
+        keep = split.owner_lo[dst] == split.owner_hi[dst]
         procs = split.owner_lo[src[keep]].astype(np.int64)
         needs.append((level, *_remote(split, procs, dst[keep])))
     return _accumulate_phase(split, "local-m2l", needs)
@@ -472,35 +466,26 @@ def sim_local_p2p(split: GlobalLocalSplit) -> PhaseResult:
     Only pairs of leaves that are not interior at radius 1 are found: two
     touching leaves with different owners each lie in the other's window.
     """
-    tree = split.tree
-    among = np.flatnonzero(~_interior(split, 1)[tree.leaf_ids])
-    q, m = leaf_adjacency_pairs(split.locator, among=among)
-    procs = split.partition.leaf_process[q].astype(np.int64)
-    needs = _remote(split, procs, tree.leaf_ids[m].astype(np.int64))
-    return _accumulate_phase(split, "local-p2p", [(0, *needs)])
+    among = np.flatnonzero(~_interior(split, 1)[split.tree.leaf_ids])
+    return _accumulate_phase(split, "local-p2p", [(0, *_touch_needs(split, among))])
 
 
 def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     """Baseline without hierarchical aggregation.
 
-    Every process pulls each cell of its essential tree individually;
-    partners are all distinct owners of any needed cell, and coarse
+    Every process pulls each cell of its essential tree individually: the
+    needs of the hierarchical phases' M2L halos (``_halo_needs``), taken
+    over every node, and of their leaf contacts (``_touch_needs``), each
+    counted once over the whole tree instead of once per level.  Partners are all distinct owners of any needed cell, and coarse
     cells are owned by whole process groups.  A cell's owners are the
     interval [owner_lo, owner_hi], so a process's partner count is the
     size of the union of its needed cells' intervals: sorted by lower
     end, each interval adds what reaches past the running maximum of the
     upper ends before it.
     """
-    tree = split.tree
     P = split.partition.P
-    needs = []
-    for level in range(1, tree.depth + 1):
-        src, dst = sibling_halos(split.locator, level, None, split.owner_lo, split.owner_hi)
-        needs.append(_remote(split, *_owner_needs(split, src, dst)))
-    q, m = leaf_adjacency_pairs(split.locator)
-    procs = split.partition.leaf_process[q].astype(np.int64)
-    needs.append(_remote(split, procs, tree.leaf_ids[m].astype(np.int64)))
-    procs, cells = (np.concatenate(a) for a in zip(*needs))
+    needs = [_halo_needs(split, level, None) for level in range(1, split.tree.depth + 1)]
+    procs, cells = (np.concatenate(a) for a in zip(*needs, _touch_needs(split)))
     p, cell, sender = _dedup(split, procs, cells)
     recv = np.bincount(p, minlength=P)
     sent = np.bincount(sender, minlength=P)

@@ -233,7 +233,7 @@ def _mark_for_balance(tree: Octree):
     loc = CellLocator(tree)
     lv = tree.levels[tree.leaf_ids]
     mark = np.zeros(tree.n_nodes + 1, dtype=bool)  # [-1] absorbs the empty cell
-    for node in loc.neighbours(tree.leaf_ids, 1):
+    for node in loc.neighbours(tree.leaf_ids):
         mark[node[loc.levels[node] <= lv - 2]] = True
     return mark[tree.leaf_ids]
 
@@ -277,9 +277,14 @@ def balance_2to1(tree: Octree) -> Octree:
 
 
 _SLOT_BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # x, y, z bits of each child slot
+_COLLEAGUES = np.array(list(itertools.product((-1, 0, 1), repeat=3)))  # ``near`` order, (0, 0, 0) at 13
 # Bit b of _REACH[j]: child j of a parent's 27 colleagues (in ``near`` order) is within 2 of child b.
-_CHILD_CELLS = 2 * np.array(list(itertools.product((-1, 0, 1), repeat=3)))[:, None] + _SLOT_BITS
+_CHILD_CELLS = 2 * _COLLEAGUES[:, None] + _SLOT_BITS
 _REACH = np.packbits(abs(_CHILD_CELLS.reshape(216, 1, 3) - _SLOT_BITS).max(2) <= 2, 1, bitorder="little")[:, 0]
+# Per neighbour offset d (row) and child slot b (column), per axis s = b_axis + d:
+# the parent's colleague s >> 1 (_NEAR_COL) and its child s & 1 (_NEAR_SLOT).
+_STEPS = np.delete(_COLLEAGUES, 13, 0)[:, None] + _SLOT_BITS
+_NEAR_COL, _NEAR_SLOT = ((_STEPS >> 1) + 1) @ [9, 3, 1], (_STEPS & 1) @ [4, 2, 1]
 
 
 class CellLocator:
@@ -315,24 +320,19 @@ class CellLocator:
         self.near[0, 13] = 0
         bounds = np.searchsorted(owners, tree.level_ptr)
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            cells = list(self.neighbours(owners[lo:hi], 1))
+            cells = list(self.neighbours(owners[lo:hi]))
             cells.insert(13, owners[lo:hi])
             self.near[lo:hi] = np.column_stack(cells)
 
-    def neighbours(self, nodes, radius: int):
-        """Per nonzero offset within Chebyshev ``radius`` <= 2, in
-        ``itertools.product`` order, the entry of each of ``nodes``' cells
-        moved by that offset; ``nodes`` may mix levels."""
+    def neighbours(self, nodes):
+        """Per neighbour offset, the 26 in ``itertools.product`` order, the
+        entry of each of ``nodes``' cells moved by it; ``nodes`` may mix
+        levels."""
         tree = self.tree
-        offsets = [o for o in itertools.product(range(-radius, radius + 1), repeat=3) if any(o)]
-        # Per child position b (x bit 4, y bit 2, z bit 1) and offset d, per axis
-        # s = b_axis + d: the parent's colleague s >> 1 and its child s & 1.
-        s = _SLOT_BITS[:, None] + np.array(offsets)
-        cols, slots = ((s >> 1) + 1) @ [9, 3, 1], (s & 1) @ [4, 2, 1]
         b = (tree.keys[nodes] & _U(7)).astype(np.intp)
         start = self.row[tree.parents[nodes]] * 27  # a root reads the empty row
         near = self.near.ravel()
-        for col, slot in zip(cols.T, slots.T):
+        for col, slot in zip(_NEAR_COL, _NEAR_SLOT):
             yield self.child[near[start + col[b]] * 8 + slot[b]]
 
 
@@ -394,7 +394,7 @@ def leaf_adjacency_pairs(loc: CellLocator, among=None):
     leaf_pos[tree.leaf_ids[among]] = among
     levels = tree.levels[tree.leaf_ids]
     pairs = []
-    for node in loc.neighbours(tree.leaf_ids[among], 1):
+    for node in loc.neighbours(tree.leaf_ids[among]):
         m = leaf_pos[node]
         found = m >= 0
         q, m = among[found], m[found]

@@ -279,6 +279,16 @@ def test_matvec_non_finite_vector_rejected(compressed, tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_matvec_one_value_vector(tmp_path):
+    # A one-line file reads as a 0-d array; at N = 1 it is the whole vector.
+    container, x, y = tmp_path / "one.h2", tmp_path / "x.csv", tmp_path / "y.csv"
+    summary = str(tmp_path / "s.json")
+    assert run(["compress", "--n", "1", "--delta", "0.01", "--out", str(container), "--summary", summary]) == 0
+    x.write_text("2.5\n")
+    assert run(["matvec", "--matrix", str(container), "--x", str(x), "--out", str(y), "--summary", summary]) == 0
+    assert y.read_text() == f"{float(matvec(load_h2(container), np.array([2.5]))[0])!r}\n"
+
+
 @pytest.mark.parametrize("content", ["1.0,abc\n", None])
 def test_matvec_unreadable_vector_rejected(compressed, tmp_path, capsys, content):
     container, _ = compressed
@@ -485,6 +495,17 @@ def test_commsim_local_sweep_exponent(tmp_path):
     assert rc == 0
     fits = json.loads(summary.read_text())["fits"]
     assert 0.62 <= fits["local-p2p"]["power_exponent"] <= 0.72
+
+
+@pytest.mark.parametrize("sweep, fixed", [("--P", ["--n-per-p", "512"]), ("--n-per-p", ["--P", "64"])])
+def test_commsim_unsorted_sweep_fits(tmp_path, sweep, fixed):
+    # The fits sort the series by x, so the order of the sweep does not matter.
+    fits = []
+    for values in ("512,8,4096,64", "8,64,512,4096"):
+        summary = tmp_path / f"{values}.json"
+        assert run(["commsim", sweep, values, *fixed, "--out", os.devnull, "--summary", str(summary)]) == 0
+        fits.append(json.dumps(json.loads(summary.read_text())["fits"]))
+    assert fits[0] != "{}" and fits[0] == fits[1]
 
 
 def test_commsim_models_share_metadata_columns(tmp_path):

@@ -12,8 +12,6 @@ from h2fmm import commsim
 from h2fmm.commsim import (
     CSV_HEADER,
     PHASES,
-    TAG_GLOBAL,
-    TAG_LOCAL_ROOT,
     fit_scaling,
     partition_sfc,
     resolve_counting,
@@ -40,15 +38,16 @@ from h2fmm.tree import (
     leaf_adjacency_pairs,
     sorted_unique,
 )
-from test_tree import brute_adjacent_pairs
+from test_tree import brute_adjacent_pairs, neighbour_walk
 
 
 def _level_pairs(loc, level, radius, sources=None):
     """(src, dst) node-id pairs at ``level`` within Chebyshev ``radius`` <= 2.
 
     ``sources``, a boolean mask over all nodes, limits ``src`` to the
-    masked nodes; they alone are looked up.  The per-source enumeration
-    that ``tree.sibling_halos`` replaced, kept as its oracle.
+    masked nodes; they alone are looked up, by the tests' radius-2 walk
+    over the colleague table.  The per-source enumeration that
+    ``tree.sibling_halos`` replaced, kept as its oracle.
     """
     tree = loc.tree
     lo, hi = int(tree.level_ptr[level]), int(tree.level_ptr[level + 1])
@@ -56,7 +55,7 @@ def _level_pairs(loc, level, radius, sources=None):
     if not len(ids):
         return np.empty(0, np.int64), np.empty(0, np.int64)
     srcs, dsts = [], []
-    for dst in loc.neighbours(ids, radius):
+    for dst in neighbour_walk(loc, ids, radius):
         found = loc.levels[dst] == level
         srcs.append(ids[found])
         dsts.append(dst[found])
@@ -141,15 +140,16 @@ def test_partition_cuts_match_greedy_loop(kind, n, seed, leaf_capacity, data):
 
 
 def _local_roots(sp, proc):
-    return np.flatnonzero((sp.tags == TAG_LOCAL_ROOT) & (sp.owner_lo == proc))
+    """The upper nodes that ``proc`` alone owns."""
+    return np.flatnonzero(sp.upper & (sp.owner_lo == proc) & (sp.owner_hi == proc))
 
 
 def test_split_p1_root_is_local_root():
     t = build_tree(generate(DistributionSpec("random-cube", 300, seed=1)), 16)
     sp = split_global_local(t, partition_sfc(t, 1))
-    assert not (sp.tags == TAG_GLOBAL).any()
+    assert (sp.owner_lo == sp.owner_hi).all()  # no global node
     assert _local_roots(sp, 0).tolist() == [0]
-    assert sp.sim_depth == 0
+    assert np.flatnonzero(sp.upper).tolist() == [0]  # the global phases have no source below the root
 
 
 def test_split_uniform_p64():
@@ -159,7 +159,7 @@ def test_split_uniform_p64():
     assert all(len(r) == 1 for r in roots)
     assert {int(t.levels[r[0]]) for r in roots} == {2}
     # Global nodes live at levels 0 and 1 only.
-    assert set(t.levels[sp.tags == TAG_GLOBAL].tolist()) == {0, 1}
+    assert set(t.levels[sp.owner_lo != sp.owner_hi].tolist()) == {0, 1}
 
 
 def test_split_plummer_depth_bound():
@@ -371,14 +371,31 @@ def test_split_and_conservation_on_random_partitions(kind, n, seed, leaf_capacit
         tree = balance_2to1(tree)
     part = partition_sfc(tree, data.draw(st.integers(1, tree.n_leaves), label="P"))
     sp = split_global_local(tree, part)
-    # Global means multi-owner: the local phases take a cell's owner_lo as its only owner.
-    assert np.array_equal(sp.tags == TAG_GLOBAL, sp.owner_lo != sp.owner_hi)
-    # Each leaf's nearest local-root ancestor belongs to the leaf's process, and
-    # every process's local roots are exactly the roots of its own leaves.
+    # A node's owners are the processes of its leaves: walk each leaf up to the root.
+    lo, hi = np.full(tree.n_nodes, part.P), np.full(tree.n_nodes, -1)
+    node, proc = tree.leaf_ids.astype(np.int64), part.leaf_process
+    while len(node):
+        np.minimum.at(lo, node, proc)
+        np.maximum.at(hi, node, proc)
+        up = tree.parents[node] >= 0
+        node, proc = tree.parents[node[up]].astype(np.int64), proc[up]
+    assert np.array_equal(sp.owner_lo, lo) and np.array_equal(sp.owner_hi, hi)
+    # Upper: the root, a multi-owner node, or a child of one.
+    multi = lo != hi
+    parents = tree.parents.tolist()
+    want = [parents[n] < 0 or multi[n] or multi[parents[n]] for n in range(tree.n_nodes)]
+    assert sp.upper.tolist() == want
+    # No upper node lies below the deepest multi-owner level + 1 (the root's
+    # level 0 without one), so sweeping every level adds only empty levels.
+    assert tree.levels[sp.upper].max() <= (tree.levels[multi].max() + 1 if multi.any() else 0)
+    # Each leaf's nearest single-owner upper ancestor (its local root) belongs
+    # to the leaf's process, and every process's local roots are exactly the
+    # roots of its own leaves.
+    roots = sp.upper & ~multi
     anc = tree.leaf_ids.astype(np.int64)
     for _ in range(tree.depth):
-        anc = np.where(sp.tags[anc] == TAG_LOCAL_ROOT, anc, np.maximum(tree.parents[anc], 0))
-    assert (sp.tags[anc] == TAG_LOCAL_ROOT).all()
+        anc = np.where(roots[anc], anc, np.maximum(tree.parents[anc], 0))
+    assert roots[anc].all()
     assert np.array_equal(sp.owner_lo[anc], part.leaf_process)
     for proc in range(part.P):
         assert _local_roots(sp, proc).tolist() == np.unique(anc[part.leaf_process == proc]).tolist()
@@ -588,7 +605,7 @@ def test_sibling_halo_phases_cover_group_shapes():
         if len(split_parents):
             seen.add("multi-owner group beside single-owner siblings")
         # Local siblings of one owner, some interior at radius 2 and some not.
-        local = np.flatnonzero(split.tags == commsim.TAG_LOCAL)
+        local = np.flatnonzero(~split.upper)
         interior = commsim._interior(split, 2)[local]
         same = (np.diff(tree.parents[local]) == 0) & (np.diff(split.owner_lo[local]) == 0)
         if (same & (interior[1:] != interior[:-1])).any():

@@ -13,6 +13,7 @@ from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DistributionSpec, ParticleSet, generate
 from h2fmm.morton import MAX_LEVEL, decode_cells, encode_cells
 from h2fmm.tree import (
+    _SLOT_BITS,
     CellLocator,
     balance_2to1,
     build_tree,
@@ -49,6 +50,21 @@ def brute_adjacent_pairs(tree):
         for j in np.flatnonzero(touch):
             pairs.add((i, int(j)))
     return pairs
+
+
+def neighbour_walk(loc, nodes, radius):
+    """``CellLocator.neighbours`` at any Chebyshev ``radius`` <= 2: per
+    nonzero offset, in ``itertools.product`` order, the locator's entry at
+    each of ``nodes``' cells moved by it.  A cell within two of a child
+    lies in one of its parent's 27 cells, so the colleague table reaches
+    radius 2 through the same two gathers."""
+    tree = loc.tree
+    offsets = [o for o in itertools.product(range(-radius, radius + 1), repeat=3) if any(o)]
+    steps = np.array(offsets)[:, None] + _SLOT_BITS  # per axis: the parent's colleague >> 1, its child & 1
+    cols, slots = ((steps >> 1) + 1) @ [9, 3, 1], (steps & 1) @ [4, 2, 1]
+    b = (tree.keys[nodes] & np.uint64(7)).astype(np.intp)
+    start = loc.row[tree.parents[nodes]] * 27
+    return [loc.child[loc.near.ravel()[start + col[b]] * 8 + slot[b]] for col, slot in zip(cols, slots)]
 
 
 def test_small_set_single_leaf():
@@ -327,7 +343,9 @@ def test_colleague_entries_hand_built():
     octant, leaf = _node_at(t, 1, (0, 0, 0)), _node_at(t, 1, (1, 0, 0))
     a, b = _node_at(t, 2, (0, 0, 0)), _node_at(t, 2, (1, 0, 0))
     offsets = [off for off in itertools.product(range(-2, 3), repeat=3) if any(off)]
-    got = dict(zip(offsets, (int(e[0]) for e in loc.neighbours([b], 2))))
+    got = dict(zip(offsets, (int(e[0]) for e in neighbour_walk(loc, [b], 2))))
+    near = [off for off in offsets if max(map(abs, off)) == 1]
+    assert [int(e[0]) for e in loc.neighbours([b])] == [got[off] for off in near]
     assert got[(-1, 0, 0)] == a  # a same-level node
     assert got[(1, 0, 0)] == got[(2, 1, 1)] == leaf  # the coarser leaf covering the cell
     assert got[(0, 1, 0)] == got[(2, 2, 0)] == -1  # empty cells, at levels 2 and 1
@@ -359,13 +377,19 @@ def test_neighbours_mixed_levels_match_per_level():
     lv = t.levels[leaves]
     stored = {(int(t.levels[i]), int(t.keys[i])): i for i in range(t.n_nodes)}
     coords = [tuple(decode_cells(t.keys[i : i + 1], int(t.levels[i]))[0]) for i in leaves]
+
+    def walk(nodes, radius):
+        """The locator's own walk at radius 1, the tests' walk at radius 2."""
+        return list(loc.neighbours(nodes)) if radius == 1 else neighbour_walk(loc, nodes, radius)
+
+    assert all(map(np.array_equal, walk(leaves, 1), neighbour_walk(loc, leaves, 1)))
     for radius in (1, 2):
         offsets = [off for off in itertools.product(range(-radius, radius + 1), repeat=3) if any(off)]
-        mixed = list(loc.neighbours(leaves, radius))
+        mixed = walk(leaves, radius)
         assert len(mixed) == len(offsets)
         for level in sorted_unique(lv):
             sel = lv == level
-            for whole, part in zip(mixed, loc.neighbours(leaves[sel], radius)):
+            for whole, part in zip(mixed, walk(leaves[sel], radius)):
                 assert np.array_equal(whole[sel], part)
         for off, got in zip(offsets, mixed):
             want = [
