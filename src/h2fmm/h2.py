@@ -14,7 +14,7 @@ node, each reading that node's blocks as one matrix.
 
 Bases are built bottom-up over skeleton points.  A node's rows are its
 particles at a leaf, or its children's skeleton points; its columns are
-a fixed surrogate of its far field: proxy points on shells at
+a fixed surrogate of its far field: 128 proxy points on each shell at
 PROXY_SHELLS x rho around the node centre (rho = PROXY_RADIUS node
 half-widths, points outside the root box dropped), plus the particles of
 the far boxes that come within rho.  Each octant of a shell and each
@@ -27,6 +27,18 @@ with U^T K(node, far) ~ G K(skeletons, far).  A parent reduces its rows
 with its children's G, and each coupling block is
 S_ij = G_i K(s_i, s_j) G_j^T, so the n_i x n_j kernel block of an
 admissible pair is never formed.
+
+rho = 3 is the smallest radius that leaves every same-level admissible
+box outside: such a box does not touch the node, so its near face is at
+least 3 half-widths from the node's centre.  Coarser boxes and an
+ancestor's partners lie further out, so only a box at least seven
+levels finer than the leaf it partners can still be explicit, and the
+surrogate is in practice the proxies alone, like the check surface of
+the kernel-independent FMM (Ying, Biros and Zorin, 2004).  128 is the
+smallest power of two of points per shell that holds the per-block
+contract on the test fixtures down to eps 1e-10.  The price is rank:
+against rho = 5 with 64 points, the stored bases and blocks of a random
+cube at N = 8192 and eps 1e-6 grow from 119 to 143 MiB.
 
 Proxies stand for the far field of ``laplace3d`` and ``one``.  On a
 random cube of 2048 points they left up to 42 eps (``gaussian``, sigma
@@ -176,16 +188,16 @@ class BlockRows:
         """Sum of B_ij x_j into slot i over the pairs, in a vector of ``size``.
 
         Both ways, each B_ij^T x_i is also added into slot j, by one
-        ``bincount`` over the gathered partner slots.
+        ``bincount`` over the gathered partner slots.  Those products
+        overwrite the row node's gathered partners once they are read.
         """
         gather, rows = self._plan
         g, y = x[gather], np.zeros(size)
-        t = np.empty(len(gather)) if both_ways else None
         for b, cat, slot in rows:
             np.dot(g[cat], b, out=y[slot])
             if both_ways:
-                np.dot(b, x[slot], out=t[cat])
-        return y + np.bincount(gather, t, minlength=size) if both_ways else y
+                np.dot(b, x[slot], out=g[cat])
+        return y + np.bincount(gather, g, minlength=size) if both_ways else y
 
 
 @dataclass
@@ -425,23 +437,29 @@ def _sphere_by_octant(n):
     return points[order], np.searchsorted(octant[order], np.arange(8))
 
 
-PROXY_RADIUS = 5.0  # node half-widths; far boxes nearer than this stay explicit
+PROXY_RADIUS = 3.0  # node half-widths; far boxes nearer than this stay explicit
 PROXY_SHELLS = (1.0, 1.4, 2.0, 3.0, 5.0)  # proxy shell radii, in units of PROXY_RADIUS
 PROXY_KINDS = ("laplace3d", "one")  # kernels whose far field the proxies stand for
-_PROXY_SPHERE, _PROXY_OCTANTS = _sphere_by_octant(64)
+_PROXY_SPHERE, _PROXY_OCTANTS = _sphere_by_octant(128)
 
 
-def _proxies(anchor, size, radius):
+def _proxy_offsets(size, radius):
+    """Proxy points of a node of edge ``size`` about its centre, (shells,
+    points, 3); every node of a level has the same ones."""
+    scale = np.array(PROXY_SHELLS)[:, None, None] * (radius * size / 2 / 2.0**MAX_LEVEL)
+    return scale * _PROXY_SPHERE
+
+
+def _proxies(anchor, size, offsets):
     """Proxy points of a node inside the root box, and the count per group.
 
     A group is one octant of one shell, so a far field that lies in a few
-    directions is still held to eps.
+    directions is still held to eps.  ``offsets`` is the level's
+    :func:`_proxy_offsets`, or None for no proxies.
     """
-    if radius == math.inf:
+    if offsets is None:
         return np.empty((0, 3)), np.zeros(0, dtype=np.int64)
-    centre = (anchor + size / 2) / 2.0**MAX_LEVEL
-    scale = np.array(PROXY_SHELLS)[:, None, None] * (radius * size / 2 / 2.0**MAX_LEVEL)
-    pts = centre + scale * _PROXY_SPHERE
+    pts = (anchor + size / 2) / 2.0**MAX_LEVEL + offsets
     inside = ((pts >= 0.0) & (pts <= 1.0)).all(axis=2)
     return pts[inside], np.add.reduceat(inside, _PROXY_OCTANTS, axis=1).ravel()
 
@@ -486,7 +504,9 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree):
     mats, skel, gmat = [None] * n_nodes, [None] * n_nodes, [None] * n_nodes
     pos, starts, counts = tree.particles.positions, tree.starts, tree.counts
     for level in range(tree.depth, -1, -1):
-        for node in map(int, tree.level_nodes(level)):
+        level_nodes = tree.level_nodes(level)
+        offsets = _proxy_offsets(sizes[level_nodes[0]], radius) if radius < math.inf else None
+        for node in map(int, level_nodes):
             kids = tree.children(node).tolist()
             if tree.is_leaf[node]:
                 rows = pos[starts[node] : starts[node] + counts[node]]
@@ -497,7 +517,7 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree):
                 skel[node], gmat[node] = rows[:0], np.zeros((0, 0))
                 continue
             far = boxes[ptr[node] : ptr[node + 1]]
-            proxies, groups = _proxies(anchors[node], sizes[node], radius)
+            proxies, groups = _proxies(anchors[node], sizes[node], offsets)
             widths = np.concatenate([counts[far], groups[groups > 0]])
             cols = pos[_ranges_concat(starts[far], counts[far])]
             if len(proxies):

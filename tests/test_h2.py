@@ -556,6 +556,12 @@ def test_per_block_contract_every_kernel(tree2048, name, eps):
     assert_per_block_contract(tree2048, CONTRACT_KERNELS[name], eps)
 
 
+def test_per_block_contract_tight_eps(tree2048):
+    # Ten digits must survive the surrogate, the skeleton pick and the
+    # pinv of G; with proxies at rho = 5 a block was rebuilt at 17 eps.
+    assert_per_block_contract(tree2048, CONTRACT_KERNELS["laplace3d-1e-1"], 1e-10)
+
+
 def test_per_block_contract_clustered():
     # Deep plummer cells are small against delta = 0.1, where the
     # regularized kernel is far from harmonic and proxies fit worst.
@@ -563,9 +569,10 @@ def test_per_block_contract_clustered():
     assert_per_block_contract(t, KernelSpec("laplace3d", regularization=1e-1), 1e-6)
 
 
-def test_compress_kernel_evaluation_budget(monkeypatch):
-    # Every kernel evaluation of compress, the coupling fill included,
-    # goes through h2.kernel_block; count its output entries.
+def compress_evaluations_per_particle(monkeypatch, dist, sizes):
+    """Kernel evaluations per particle of compress (eps 1e-4) on each
+    balanced cloud.  Every evaluation, the coupling fill included, goes
+    through h2.kernel_block; count its output entries."""
     evals = [0]
 
     def counting(spec, a, b):
@@ -575,13 +582,25 @@ def test_compress_kernel_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(h2_module, "kernel_block", counting)
     per_particle = {}
-    for n in (2048, 8192):
-        t = balance_2to1(build_tree(generate(DistributionSpec("sphere-surface", n, seed=1)), 16))
+    for n in sizes:
+        t = balance_2to1(build_tree(generate(DistributionSpec(dist, n, seed=1)), 16))
         evals[0] = 0
         compress(t, LAPLACE, eps=1e-4)
         per_particle[n] = evals[0] / n
+    return per_particle
+
+
+def test_compress_kernel_evaluation_budget(monkeypatch):
+    per_particle = compress_evaluations_per_particle(monkeypatch, "sphere-surface", (2048, 8192))
     assert per_particle[8192] < 5000
     assert per_particle[8192] < 3 * per_particle[2048]
+
+
+def test_compress_kernel_evaluations_grow_slowly(monkeypatch):
+    # Proxies stand for every same-level far box, so a node's surrogate
+    # is bounded; with raw far boxes out to rho = 5 the ratio was 2.56.
+    per_particle = compress_evaluations_per_particle(monkeypatch, "plummer", (2048, 8192))
+    assert per_particle[8192] < 1.6 * per_particle[2048]
 
 
 def test_compress_bitwise_deterministic(tree512):
