@@ -10,7 +10,8 @@ is packed into one array of shape groups (:class:`Packed`), and the
 upsweep and downsweep make one batched product per group.  The coupling
 and dense blocks are stored by block row (:class:`BlockRows`): their
 phases make one gather and one or two vector-matrix products per row
-node, each reading that node's blocks as one matrix.
+node, each reading that node's blocks as one matrix.  Every phase's
+index arrays are built on the matrix's first product and kept.
 
 Bases are built bottom-up over skeleton points.  A node's rows are its
 particles at a leaf, or its children's skeleton points; its columns are
@@ -65,7 +66,7 @@ from .tree import Octree, _ranges_concat, node_boxes
 
 ETA = 1.75  # same-level cells are admissible iff they do not touch, as in the FMM
 
-_CHUNK_ELEMENTS = 2**20  # cap on the entries of one kernel_block call
+_CHUNK_ELEMENTS = 2**20  # cap on the entries of one batched temporary
 
 
 def _box_gap2(lo_a, sa, lo_b, sb):
@@ -312,6 +313,25 @@ class H2Matrix:
     def n(self) -> int:
         return self.octree.n_particles
 
+    @cached_property
+    def _sweep_plan(self):
+        """Per non-empty basis group, deepest first: its input and output
+        slots in [x ; x_hat] and its (count, rows, rank) matrices; built on
+        first use.  An interior node's input is its children's reduced
+        vectors, adjacent since sibling ids are consecutive."""
+        tree, off = self.octree, self.row_basis.offsets
+        inp = np.where(tree.is_leaf, tree.starts, self.n + off[tree.child_start])
+        return [
+            (_spans(inp[nodes], e.shape[1]), _spans(self.n + off[nodes], e.shape[2]), e)
+            for nodes, e in self.row_basis.mats.groups()
+            if e.size
+        ]
+
+    def prepare(self) -> None:
+        """Build the sweeps' and the coupling and dense stores' index plans
+        now, which the first product builds otherwise."""
+        _ = self._sweep_plan, self.blocks.coupling._plan, self.blocks.dense._plan
+
     def flagged_nodes(self) -> list:
         """(node, tail) of nodes whose rank cap left a truncation tail above eps."""
         bad = np.flatnonzero(self.row_basis.tails > self.eps)
@@ -443,25 +463,26 @@ PROXY_KINDS = ("laplace3d", "one")  # kernels whose far field the proxies stand 
 _PROXY_SPHERE, _PROXY_OCTANTS = _sphere_by_octant(128)
 
 
-def _proxy_offsets(size, radius):
-    """Proxy points of a node of edge ``size`` about its centre, (shells,
-    points, 3); every node of a level has the same ones."""
-    scale = np.array(PROXY_SHELLS)[:, None, None] * (radius * size / 2 / 2.0**MAX_LEVEL)
-    return scale * _PROXY_SPHERE
+def _proxies(anchors, sizes, radius):
+    """Per node of one level, in order: its proxy points inside the root
+    box, and their count per group; none at radius inf.
 
-
-def _proxies(anchor, size, offsets):
-    """Proxy points of a node inside the root box, and the count per group.
-
-    A group is one octant of one shell, so a far field that lies in a few
-    directions is still held to eps.  ``offsets`` is the level's
-    :func:`_proxy_offsets`, or None for no proxies.
+    Every node of a level has the same points about its centre, placed
+    for a chunk of nodes at a time.  A group is one octant of one shell,
+    so a far field that lies in a few directions is still held to eps.
     """
-    if offsets is None:
-        return np.empty((0, 3)), np.zeros(0, dtype=np.int64)
-    pts = (anchor + size / 2) / 2.0**MAX_LEVEL + offsets
-    inside = ((pts >= 0.0) & (pts <= 1.0)).all(axis=2)
-    return pts[inside], np.add.reduceat(inside, _PROXY_OCTANTS, axis=1).ravel()
+    if radius == math.inf:
+        yield from [(np.empty((0, 3)), np.zeros(0, dtype=np.int64))] * len(anchors)
+        return
+    scale = np.array(PROXY_SHELLS)[:, None, None] * (radius * sizes[0] / 2 / 2.0**MAX_LEVEL)
+    offsets = scale * _PROXY_SPHERE
+    step = _CHUNK_ELEMENTS // offsets.size
+    for s in range(0, len(anchors), step):
+        centres = (anchors[s : s + step] + sizes[s : s + step, None] / 2) / 2.0**MAX_LEVEL
+        pts = centres[:, None, None] + offsets
+        inside = ((pts >= 0.0) & (pts <= 1.0)).all(axis=3)
+        groups = np.add.reduceat(inside, _PROXY_OCTANTS, axis=2).reshape(len(pts), -1)
+        yield from ((p[m], g[g > 0]) for p, m, g in zip(pts, inside, groups))
 
 
 def _pivoted_rows(b, k):
@@ -476,7 +497,7 @@ def _pivoted_rows(b, k):
         picked.append(p)
         if norms[p] > 0.0:
             q = b[p] / math.sqrt(norms[p])
-            b -= np.outer(b @ q, q)
+            b -= (b @ q)[:, None] * q
             norms = (b * b).sum(axis=1)
         norms[picked] = -1.0
     return np.array(picked, dtype=np.int64)
@@ -505,8 +526,8 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree):
     pos, starts, counts = tree.particles.positions, tree.starts, tree.counts
     for level in range(tree.depth, -1, -1):
         level_nodes = tree.level_nodes(level)
-        offsets = _proxy_offsets(sizes[level_nodes[0]], radius) if radius < math.inf else None
-        for node in map(int, level_nodes):
+        level_proxies = _proxies(anchors[level_nodes], sizes[level_nodes], radius)
+        for node, (cols, widths) in zip(level_nodes.tolist(), level_proxies):
             kids = tree.children(node).tolist()
             if tree.is_leaf[node]:
                 rows = pos[starts[node] : starts[node] + counts[node]]
@@ -517,11 +538,9 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree):
                 skel[node], gmat[node] = rows[:0], np.zeros((0, 0))
                 continue
             far = boxes[ptr[node] : ptr[node + 1]]
-            proxies, groups = _proxies(anchors[node], sizes[node], offsets)
-            widths = np.concatenate([counts[far], groups[groups > 0]])
-            cols = pos[_ranges_concat(starts[far], counts[far])]
-            if len(proxies):
-                cols = np.concatenate([cols, proxies])
+            if len(far):  # the explicit boxes' particles, then the proxies
+                cols = np.concatenate([pos[_ranges_concat(starts[far], counts[far])], cols])
+                widths = np.concatenate([counts[far], widths])
             # a = K(rows, surrogate); r = a reduced by the children's G
             a = _kernel_rows(kernel, rows, cols)
             r = a
@@ -700,17 +719,6 @@ def _spans(starts, width) -> np.ndarray:
     return starts[:, None] + np.arange(width)
 
 
-def _basis_slots(h2: H2Matrix):
-    """Per node: where its basis input and its reduced vector start in [x ; x_hat].
-
-    An interior node's input is its children's reduced vectors, adjacent
-    since sibling ids are consecutive.
-    """
-    tree, off = h2.octree, h2.row_basis.offsets
-    inp = np.where(tree.is_leaf, tree.starts, h2.n + off[tree.child_start])
-    return inp, h2.n + off[:-1]
-
-
 def upsweep(h2: H2Matrix, x) -> np.ndarray:
     """Reduced vectors x_hat of all nodes, concatenated in node order.
 
@@ -720,11 +728,8 @@ def upsweep(h2: H2Matrix, x) -> np.ndarray:
     vectors, deepest level first.  ``x`` is in original particle order.
     """
     buf = np.concatenate([_to_sorted(h2, x), np.zeros(h2.row_basis.offsets[-1])])
-    inp, out = _basis_slots(h2)
-    for nodes, e in h2.row_basis.mats.groups():
-        if e.size:
-            v = buf[_spans(inp[nodes], e.shape[1])]
-            buf[_spans(out[nodes], e.shape[2])] = np.matmul(v[:, None, :], e)[:, 0]
+    for inp, out, e in h2._sweep_plan:
+        buf[out] = np.matmul(buf[inp][:, None, :], e)[:, 0]
     return buf[h2.n :]
 
 
@@ -746,11 +751,8 @@ def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
     Returns a vector in original particle order.
     """
     buf = np.concatenate([np.zeros(h2.n), _vector(yhat, int(h2.row_basis.offsets[-1]), "y_hat")])
-    inp, out = _basis_slots(h2)
-    for nodes, e in reversed(list(h2.row_basis.mats.groups())):
-        if e.size:
-            y = buf[_spans(out[nodes], e.shape[2])]
-            buf[_spans(inp[nodes], e.shape[1])] += np.matmul(e, y[:, :, None])[:, :, 0]
+    for inp, out, e in reversed(h2._sweep_plan):
+        buf[inp] += np.matmul(e, buf[out][:, :, None])[:, :, 0]
     return _to_original(h2, buf[: h2.n])
 
 

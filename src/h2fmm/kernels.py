@@ -72,14 +72,15 @@ def kernel_block(spec: KernelSpec, points_a, points_b) -> np.ndarray:
         return np.ones(a.shape[:-1] + b.shape[-2:-1])
     aa = (a * a).sum(axis=-1)
     bb = (b * b).sum(axis=-1)
-    r2 = aa[..., :, None] + bb[..., None, :] - 2.0 * (a @ np.swapaxes(b, -1, -2))
+    r2 = aa[..., :, None] + bb[..., None, :]
+    r2 -= 2.0 * (a @ np.swapaxes(b, -1, -2))
     np.maximum(r2, 0.0, out=r2)
     r2 += spec.regularization**2
     if spec.kind == "gaussian":
         return np.exp(-r2 / spec.sigma**2)
     with np.errstate(divide="ignore"):
         if spec.kind == "laplace3d":
-            return 1.0 / np.sqrt(r2)
+            return np.divide(1.0, np.sqrt(r2, out=r2), out=r2)
         return -0.5 * np.log(r2)  # laplace2d: -log r
 
 

@@ -1,8 +1,9 @@
 """Test-only views of an H2 matrix: dense node bases, whole far fields,
-the blocks read one by one out of their block rows, and a per-block apply."""
+the blocks read one by one out of their block rows, a per-block apply,
+and basis sweeps that build their index arrays on every call."""
 import numpy as np
 
-from h2fmm.h2 import _far_boxes
+from h2fmm.h2 import _far_boxes, _spans
 
 
 def far_partners(tree, blocks):
@@ -44,3 +45,38 @@ def block_apply(store, x, size, both_ways=False) -> np.ndarray:
         if both_ways:
             y[sj] += b.T @ x[si]
     return y
+
+
+def _basis_slots(m):
+    """Per node: where its basis input and its reduced vector start in [x ; x_hat].
+
+    An interior node's input is its children's reduced vectors, adjacent
+    since sibling ids are consecutive.
+    """
+    tree, off = m.octree, m.row_basis.offsets
+    inp = np.where(tree.is_leaf, tree.starts, m.n + off[tree.child_start])
+    return inp, m.n + off[:-1]
+
+
+def reference_upsweep(m, x) -> np.ndarray:
+    """``upsweep`` with each shape group's index arrays built on the call."""
+    buf = np.concatenate([np.asarray(x, dtype=np.float64)[m.octree.order], np.zeros(m.row_basis.offsets[-1])])
+    inp, out = _basis_slots(m)
+    for nodes, e in m.row_basis.mats.groups():
+        if e.size:
+            v = buf[_spans(inp[nodes], e.shape[1])]
+            buf[_spans(out[nodes], e.shape[2])] = np.matmul(v[:, None, :], e)[:, 0]
+    return buf[m.n :]
+
+
+def reference_downsweep(m, yhat) -> np.ndarray:
+    """``downsweep`` with each shape group's index arrays built on the call."""
+    buf = np.concatenate([np.zeros(m.n), np.asarray(yhat, dtype=np.float64)])
+    inp, out = _basis_slots(m)
+    for nodes, e in reversed(list(m.row_basis.mats.groups())):
+        if e.size:
+            y = buf[_spans(out[nodes], e.shape[2])]
+            buf[_spans(inp[nodes], e.shape[1])] += np.matmul(e, y[:, :, None])[:, :, 0]
+    out = np.zeros(m.n)
+    out[m.octree.order] = buf[: m.n]
+    return out

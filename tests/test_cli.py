@@ -191,8 +191,9 @@ def test_matvec_phase_timings(compressed, tmp_path):
     assert outs[0] == "".join(f"{float(v)!r}\n" for v in matvec(m, x)).encode()
     phases = ("dense", "upsweep", "coupling", "downsweep")
     for t in timings:
-        assert set(t) == {"matvec_s"} | {f"{p}_{u}" for p in phases for u in ("s", "gmacs")}
+        assert set(t) == {"matvec_s", "plan_s"} | {f"{p}_{u}" for p in phases for u in ("s", "gmacs")}
         assert t["matvec_s"] == sum(t[f"{p}_s"] for p in phases)
+        assert t["plan_s"] > 0
         for p in phases:
             assert t[f"{p}_s"] > 0
             assert t[f"{p}_gmacs"] == reports[0]["flops"][p] / t[f"{p}_s"] / 1e9

@@ -24,7 +24,14 @@ from h2fmm.h2io import load_h2, save_h2
 from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block
 from h2fmm.morton import MAX_LEVEL
 from h2fmm.tree import _ranges_concat, balance_2to1, build_tree
-from h2_views import block_apply, explicit_bases, far_partners, stored_blocks
+from h2_views import (
+    block_apply,
+    explicit_bases,
+    far_partners,
+    reference_downsweep,
+    reference_upsweep,
+    stored_blocks,
+)
 
 LAPLACE = KernelSpec("laplace3d", regularization=1e-2)
 
@@ -265,6 +272,7 @@ def test_upsweep_single_leaf_direct():
     xhat = upsweep(m, x)
     v = explicit_bases(t, m.row_basis)[0]
     assert np.array_equal(node_slot(m, xhat, 0), v.T @ x[t.order])
+    assert_sweeps_match_reference(m, np.random.default_rng(3))
     assert all(not v.size or True for v in xhat)
     y = matvec(m, x)
     a = dense_matrix(ps, LAPLACE)
@@ -365,6 +373,52 @@ def test_apply_plan_empty_coupling_store():
     assert m.blocks.coupling.data.size == 0
     for _ in range(2):
         assert_phases_match_reference(m, np.arange(9.0))
+        assert_sweeps_match_reference(m, np.random.default_rng(2))
+
+
+def assert_sweeps_match_reference(m, rng, first=upsweep):
+    """``upsweep`` and ``downsweep``, ``first`` called first, bitwise those
+    of the per-call reference sweeps."""
+    sweeps = [(upsweep, reference_upsweep, m.n), (downsweep, reference_downsweep, int(m.row_basis.offsets[-1]))]
+    for sweep, reference, size in sweeps if first is upsweep else sweeps[::-1]:
+        v = rng.standard_normal(size)
+        assert np.array_equal(sweep(m, v), reference(m, v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 32),
+    balanced=st.booleans(),
+    kernel=st.sampled_from(ORACLE_KERNELS),
+)
+def test_sweep_plan_matches_per_call_reference(tmp_path_factory, kind, n, seed, leaf_capacity, balanced, kernel):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    m = compress(tree, kernel, eps=1e-6)
+    path = tmp_path_factory.mktemp("sweep") / "m.h2"
+    save_h2(m, path)
+    rng = np.random.default_rng(seed)
+    # Each sweep builds the plan on one of the two matrices.
+    for a, first in ((m, upsweep), (load_h2(path), downsweep)):
+        for _ in range(2):  # the call that builds the plan, then calls that reuse it
+            assert_sweeps_match_reference(a, rng, first)
+
+
+def test_prepare_builds_every_plan(tree512, h2_512):
+    m = compress(tree512, LAPLACE, eps=1e-6)
+
+    def built():
+        return "_sweep_plan" in vars(m), "_plan" in vars(m.blocks.coupling), "_plan" in vars(m.blocks.dense)
+
+    assert built() == (False, False, False)
+    m.prepare()
+    assert built() == (True, True, True)
+    x = np.random.default_rng(3).standard_normal(m.n)
+    assert np.array_equal(matvec(m, x), matvec(h2_512, x))
 
 
 def test_dense_and_downsweep_match_per_block_loops(h2_512):
