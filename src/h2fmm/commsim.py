@@ -364,30 +364,55 @@ def _touch_needs(split, among=None):
 def _dedup(split, procs, cells):
     """Distinct (process, cell) needs, each with its sender: the cell's first owner."""
     n_nodes = np.int64(split.tree.n_nodes)
-    packed = sorted_unique(procs * n_nodes + cells)
-    cells = packed % n_nodes
-    return packed // n_nodes, cells, split.owner_lo[cells].astype(np.int64)
+    procs, cells = np.divmod(sorted_unique(procs * n_nodes + cells), n_nodes)
+    return procs, cells, split.owner_lo[cells].astype(np.int64)
+
+
+def _end_owner_needs(split, level, nodes, cells):
+    """One level's (node, cell) pairs as (level, processes, cells, inner): the
+    remote needs of each node's end owners a and b, and the per-process
+    (partners, sent, recv) of the owners in between.  Two nodes of a level
+    have disjoint Morton ranges, so an inner owner co-owns no other cell of
+    the level and owns no other node: it needs the node's cells but the
+    node, each listed once, and each cell's first owner sends b - a - 1.
+    """
+    P = split.partition.P
+    lo, hi = split.owner_lo[nodes], split.owner_hi[nodes]
+    two = np.flatnonzero(lo != hi)
+    wide = two[(hi[two] - lo[two] > 1) & (cells[two] != nodes[two])]
+    key = np.sort(nodes[wide] * P + split.owner_lo[cells[wide]])
+    node, first, n_cells = np.unique(key // P, return_index=True, return_counts=True)
+    span = split.owner_hi[node] - split.owner_lo[node] - 1
+    at = _ranges_concat(split.owner_lo[node] + 1, span)
+    inner = np.zeros((3, P), dtype=np.int64)
+    inner[0, at] = np.repeat(np.add.reduceat(np.append(True, key[1:] != key[:-1]), first), span)
+    inner[1] = np.bincount(key % P, weights=np.repeat(span, n_cells), minlength=P)
+    inner[2, at] = np.repeat(n_cells, span)
+    return level, *_remote(split, np.concatenate([lo, hi[two]]), np.concatenate([cells, cells[two]])), inner
 
 
 def _accumulate_phase(split, phase, level_needs):
-    """Reduce per-level remote (level, processes, cells) needs into a PhaseResult."""
+    """Reduce per-level remote (level, processes, cells, inner) needs, with
+    ``inner`` added per-process (partners, sent, recv), into a PhaseResult.
+    Partners are the changes of (process, sender) in the dedup order, where
+    one level's cells ascend by node id, which is Morton order, and their
+    first owners with them; cells of several levels (P2P) are sorted first.
+    """
     P = split.partition.P
-    partners = np.zeros(P, dtype=np.int64)
-    sent = np.zeros(P, dtype=np.int64)
-    recv = np.zeros(P, dtype=np.int64)
+    total = np.zeros((3, P), dtype=np.int64)
     per_level = []
-    for level, procs, cells in level_needs:
+    for level, procs, cells, inner in level_needs:
         if not len(procs):
             continue
         p, _, sender = _dedup(split, procs, cells)
-        lvl_recv = np.bincount(p, minlength=P)
-        recv += lvl_recv
-        sent += np.bincount(sender, minlength=P)
-        pp = sorted_unique(p * np.int64(P) + sender)
-        lvl_partners = np.bincount(pp // P, minlength=P)
-        partners += lvl_partners
-        per_level.append((level, int(lvl_partners.max()), int(lvl_recv.max())))
-    return PhaseResult(phase, partners, sent, recv, per_level)
+        pp = p * P + sender
+        if (pp[1:] < pp[:-1]).any():
+            pp.sort()  # within each process's run, so p stays in step
+        new = np.append(True, pp[1:] != pp[:-1])
+        lvl = np.stack([np.bincount(a, minlength=P) for a in (p[new], sender, p)]) + inner
+        total += lvl
+        per_level.append((level, int(lvl[0].max()), int(lvl[2].max())))
+    return PhaseResult(phase, *total, per_level)
 
 
 def _interior(split, radius):
@@ -430,14 +455,15 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
         sibs = _ranges_concat(tree.child_start[parents].astype(np.int64), sib_count)
         owners = np.repeat(ids, sib_count)
         keep = sibs != owners
-        needs.append((level, *_remote(split, *_owner_needs(split, owners[keep], sibs[keep]))))
+        needs.append(_end_owner_needs(split, level, owners[keep], sibs[keep]))
     return _accumulate_phase(split, "global-m2m", needs)
 
 
 def sim_global_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """Interaction halos of global-tree cells, two cells wide per level and sibling group."""
-    needs = [(level, *_halo_needs(split, level, split.upper)) for level in range(1, split.tree.depth + 1)]
-    return _accumulate_phase(split, "global-m2l", needs)
+    levels = range(1, split.tree.depth + 1)
+    halos = ((lv, *sibling_halos(split.locator, lv, split.upper, split.owner_lo, split.owner_hi)) for lv in levels)
+    return _accumulate_phase(split, "global-m2l", (_end_owner_needs(split, *h) for h in halos))
 
 
 def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
@@ -451,12 +477,13 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """
     tree = split.tree
     sources = ~split.upper & ~_interior(split, 2)
+    local = split.owner_lo == split.owner_hi
     needs = []
     for level in range(1, tree.depth + 1):
         src, dst = sibling_halos(split.locator, level, sources, split.owner_lo)
-        keep = split.owner_lo[dst] == split.owner_hi[dst]
+        keep = local[dst]
         procs = split.owner_lo[src[keep]].astype(np.int64)
-        needs.append((level, *_remote(split, procs, dst[keep])))
+        needs.append((level, *_remote(split, procs, dst[keep]), 0))
     return _accumulate_phase(split, "local-m2l", needs)
 
 
@@ -467,7 +494,7 @@ def sim_local_p2p(split: GlobalLocalSplit) -> PhaseResult:
     touching leaves with different owners each lie in the other's window.
     """
     among = np.flatnonzero(~_interior(split, 1)[split.tree.leaf_ids])
-    return _accumulate_phase(split, "local-p2p", [(0, *_touch_needs(split, among))])
+    return _accumulate_phase(split, "local-p2p", [(0, *_touch_needs(split, among), 0)])
 
 
 def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:

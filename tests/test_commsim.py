@@ -613,6 +613,91 @@ def test_sibling_halo_phases_cover_group_shapes():
     assert len(seen) == 4, seen
 
 
+HIER_PHASES = (sim_global_m2m, sim_global_m2l, sim_local_m2l, sim_local_p2p)
+
+
+def _every_owner_needs(split, level, nodes, cells):
+    """The expansion that the end-owner split replaced: every owner of
+    ``nodes[i]`` paired with ``cells[i]``, then the remote filter."""
+    return level, *commsim._remote(split, *commsim._owner_needs(split, nodes, cells)), 0
+
+
+def _sorted_accumulate(split, phase, level_needs):
+    """The accumulation that counting partners by runs replaced: remote needs
+    deduplicated, and partners by a sort of the (process, sender) pairs."""
+    P = split.partition.P
+    partners, sent, recv = (np.zeros(P, dtype=np.int64) for _ in range(3))
+    per_level = []
+    for level, procs, cells, inner in level_needs:
+        assert np.all(inner == 0)
+        if not len(procs):
+            continue
+        p, _, sender = commsim._dedup(split, procs, cells)
+        lvl_recv = np.bincount(p, minlength=P)
+        lvl_partners = np.bincount(sorted_unique(p * np.int64(P) + sender) // P, minlength=P)
+        recv += lvl_recv
+        sent += np.bincount(sender, minlength=P)
+        partners += lvl_partners
+        per_level.append((level, int(lvl_partners.max()), int(lvl_recv.max())))
+    return commsim.PhaseResult(phase, partners, sent, recv, per_level)
+
+
+def _reference_digests(split):
+    with mock.patch.object(commsim, "_end_owner_needs", _every_owner_needs):
+        with mock.patch.object(commsim, "_accumulate_phase", _sorted_accumulate):
+            return [_phase_digest(sim(split)) for sim in HIER_PHASES]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(DISTRIBUTION_KINDS),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**16),
+    leaf_capacity=st.integers(1, 32),
+    balanced=st.booleans(),
+    data=st.data(),
+)
+# One leaf per process, and coarse nodes spanning hundreds of processes.
+@example(kind="plummer", n=3000, seed=0, leaf_capacity=1, balanced=True, data=None)
+@example(kind="sphere-surface", n=3000, seed=2, leaf_capacity=2, balanced=False, data=None)
+def test_bulk_count_matches_owner_expansion(kind, n, seed, leaf_capacity, balanced, data):
+    tree = build_tree(generate(DistributionSpec(kind, n, seed)), leaf_capacity)
+    if balanced:
+        tree = balance_2to1(tree)
+    # An explicit example (no data) takes the largest P: one leaf per process.
+    P = data.draw(st.integers(1, tree.n_leaves), label="P") if data else tree.n_leaves
+    split = split_global_local(tree, partition_sfc(tree, P))
+    if data is None:
+        assert (split.owner_hi - split.owner_lo >= 2).any()  # inner owners exist
+    got = [_phase_digest(sim(split)) for sim in HIER_PHASES]
+    assert got == _reference_digests(split)
+    # The per-source oracle lists each source's pairs in walk order, not by group.
+    with mock.patch.object(commsim, "sibling_halos", _per_source_halos):
+        assert [_phase_digest(sim(split)) for sim in HIER_PHASES] == got == _reference_digests(split)
+
+
+@pytest.mark.parametrize("level, P, leaf_capacity", [(3, 8, 16), (5, 64, 1)])
+def test_engines_agree_on_lattice_trees(level, P, leaf_capacity):
+    # A full tree split over P = 8^g processes is the closed form's own case.
+    # Per process, the two engines agree on global M2M receives and partners,
+    # local M2L receives, P2P and direct-model partners.  Global M2M sends
+    # differ (the general engine's first owner sends for its co-owners), and
+    # global M2L and local M2L partners follow other definitions.
+    tree = lattice_tree(level, leaf_capacity, leaf_capacity)
+    assert tree.depth == level and tree.n_leaves == 8**level
+    part = partition_sfc(tree, P)
+    both = ("partners", "cells_recv")
+    for model, checks in (
+        ("hier", {"global-m2m": both, "local-m2l": ("cells_recv",), "local-p2p": (*both, "cells_sent")}),
+        ("direct", {"direct-let": ("partners",)}),
+    ):
+        general = simulate_comm(tree, part, model=model)
+        closed = uniform_comm_report(P, tree.n_particles // P, "truncated", leaf_capacity, model=model)
+        for name, attrs in checks.items():
+            for attr in attrs:
+                assert np.array_equal(getattr(general.phase(name), attr), getattr(closed.phase(name), attr)), (name, attr)
+
+
 def test_direct_let_p1_zero():
     rep = uniform_comm_report(1, 64, mode="periodic", model="direct")
     ph = rep.phase("direct-let")
