@@ -11,9 +11,9 @@ from h2fmm import (
     KernelSpec,
     build_tree,
     compress,
-    dense_matrix,
     flop_report,
     generate,
+    kernel_block,
     matvec,
     storage_report,
 )
@@ -24,13 +24,12 @@ particles = generate(DistributionSpec("random-cube", n, seed=1))
 tree = build_tree(particles, leaf_capacity=16)
 print(f"octree over {n} particles: depth {tree.depth}, {tree.n_leaves} leaves")
 
+x = np.random.default_rng(0).standard_normal(n)
+ref = kernel_block(kernel, particles.positions, particles.positions) @ x
+dense_bytes = n * n * 8
 for eps in (1e-2, 1e-4, 1e-6):
     h2 = compress(tree, kernel, eps=eps)
     st = storage_report(h2)
-    dense_bytes = n * n * 8
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n)
-    ref = dense_matrix(particles, kernel) @ x
     err = np.linalg.norm(matvec(h2, x) - ref) / np.linalg.norm(ref)
     print(
         f"eps={eps:7.0e}  max rank {int(h2.row_basis.ranks.max()):3d}  "

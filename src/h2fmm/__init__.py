@@ -4,7 +4,6 @@ models for hierarchical N-body methods."""
 from .errors import (
     ConfigurationError,
     ContainerError,
-    OracleScaleError,
     PartitionError,
     PrecisionLimitError,
 )
@@ -17,7 +16,7 @@ from .geometry import (
     save_binary,
     save_csv,
 )
-from .kernels import KernelSpec, dense_matrix, kernel_block, oracle_limit
+from .kernels import KernelSpec, kernel_block
 from .morton import (
     MAX_LEVEL,
     decode_cells,

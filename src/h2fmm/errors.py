@@ -14,10 +14,6 @@ class PrecisionLimitError(ValueError):
     """
 
 
-class OracleScaleError(ValueError):
-    """A dense N x N oracle was requested above the desk-scale guard."""
-
-
 class PartitionError(ValueError):
     """A process partition cannot be formed (e.g. more processes than leaves)."""
 

@@ -1,20 +1,15 @@
-"""Interaction kernels and the dense matrix oracle."""
+"""Interaction kernels."""
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OracleScaleError
-from .geometry import ParticleSet
+from .errors import ConfigurationError
 
 KERNEL_KINDS = ("laplace3d", "laplace2d", "gaussian", "one")
-
-DEFAULT_ORACLE_MAX = 16384
-ORACLE_MAX_ENV = "H2FMM_ORACLE_MAX"
 
 
 def _real(v) -> bool:
@@ -83,26 +78,3 @@ def kernel_block(spec: KernelSpec, points_a, points_b) -> np.ndarray:
             return np.divide(1.0, np.sqrt(r2, out=r2), out=r2)
         return -0.5 * np.log(r2)  # laplace2d: -log r
 
-
-def oracle_limit() -> int:
-    """Dense-oracle size guard, overridable via H2FMM_ORACLE_MAX (an integer >= 0)."""
-    text = os.environ.get(ORACLE_MAX_ENV, str(DEFAULT_ORACLE_MAX))
-    if not text.strip().isdecimal():
-        raise ConfigurationError(f"{ORACLE_MAX_ENV} must be an integer >= 0, got {text!r}")
-    return int(text)
-
-
-def dense_matrix(particles: ParticleSet, kernel: KernelSpec) -> np.ndarray:
-    """The full N x N kernel matrix, for verification at desk scale.
-
-    Refuses to run above :func:`oracle_limit` since the cost and storage
-    grow quadratically.
-    """
-    n = len(particles)
-    limit = oracle_limit()
-    if n > limit:
-        raise OracleScaleError(
-            f"dense oracle refused for N={n} > {limit}; "
-            f"raise {ORACLE_MAX_ENV} to override"
-        )
-    return kernel_block(kernel, particles.positions, particles.positions)

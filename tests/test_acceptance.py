@@ -29,7 +29,7 @@ from h2fmm.h2 import (
     storage_report,
     upsweep,
 )
-from h2fmm.kernels import KernelSpec, dense_matrix
+from h2fmm.kernels import KernelSpec, kernel_block
 from h2fmm.tree import balance_2to1, build_tree, depth_stats, neighbor_counts
 
 LAPLACE = KernelSpec("laplace3d", regularization=1e-2)
@@ -236,7 +236,7 @@ def test_criterion_07_matvec_accuracy(n, eps):
     ps = generate(DistributionSpec("random-cube", n, seed=1))
     tree = build_tree(ps, 16)
     h2 = compress(tree, LAPLACE, eps=eps)
-    a = dense_matrix(ps, LAPLACE)
+    a = kernel_block(LAPLACE, ps.positions, ps.positions)
     x = np.random.Generator(np.random.PCG64(0)).standard_normal(n)
     ref = a @ x
     err = float(np.linalg.norm(matvec(h2, x) - ref) / np.linalg.norm(ref))

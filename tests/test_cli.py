@@ -13,6 +13,7 @@ from h2fmm import cli
 from h2fmm.cli import main
 from h2fmm.h2 import matvec
 from h2fmm.h2io import VERSION, decode, load_h2
+from h2fmm.kernels import kernel_block
 
 
 def run(args):
@@ -137,6 +138,74 @@ def test_matvec_oracle_error_bound(compressed, tmp_path):
     report = json.loads(summary.read_text())
     assert report["rel_error"] <= 1e-4
     assert "matvec_s" in report["timings"]
+
+
+def test_matvec_oracle_every_row_at_small_n(tmp_path):
+    # At N <= 256 the sampled rows are every row, so the error is the full matrix's.
+    container, summary = tmp_path / "s.h2", tmp_path / "s.json"
+    flags = ["--n", "200", "--seed", "1", "--delta", "1e-2", "--eps", "1e-2", "--out", str(container)]
+    assert run(["compress"] + flags + ["--summary", str(tmp_path / "c.json")]) == 0
+    assert run(["matvec", "--matrix", str(container), "--seed", "3", "--summary", str(summary)]) == 0
+    report = json.loads(summary.read_text())
+    m = load_h2(container)
+    pos = m.octree.particles.positions[np.argsort(m.octree.order)]
+    x = np.random.Generator(np.random.PCG64(3)).standard_normal(m.n)
+    ref = kernel_block(m.kernel, pos, pos) @ x
+    full = np.linalg.norm(matvec(m, x) - ref) / np.linalg.norm(ref)
+    assert report["config"]["oracle_rows"] == 200
+    assert full > 1e-6  # well above rounding, so 1e-12 compares the errors and not the noise
+    assert report["rel_error"] == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [None, 9 * 512 + 100])  # the default, and 9 rows a block
+def test_matvec_oracle_blocks(compressed, tmp_path, monkeypatch, block):
+    container, _ = compressed
+    if block:
+        monkeypatch.setattr(cli, "ORACLE_BLOCK", block)
+    blocks = []
+
+    def recording(spec, points_a, points_b):
+        blocks.append((points_a, points_b))
+        return kernel_block(spec, points_a, points_b)
+
+    monkeypatch.setattr(cli, "kernel_block", recording)
+    summary = tmp_path / "mv.json"
+    assert run(["matvec", "--matrix", str(container), "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["config"]["oracle_rows"] == 256
+    assert all(len(a) * len(b) <= (block or 2**20) and b.shape == (512, 3) for a, b in blocks)
+    assert len(blocks) == (29 if block else 1)
+    rows = np.concatenate([a for a, _ in blocks])
+    assert len(rows) == 256 and len(np.unique(rows, axis=0)) == 256
+
+
+def test_matvec_oracle_same_seed_same_summary(compressed, tmp_path):
+    # The rows are drawn after x, so the oracle leaves x and y as they are.
+    container, _ = compressed
+    x = tmp_path / "x.csv"
+    x.write_text("".join(f"{float(v)!r}\n" for v in np.random.default_rng(5).standard_normal(512)))
+    for extra in ([], ["--x", str(x)]):
+        reports, outs = [], []
+        for oracle in ("--oracle", "--oracle", "--no-oracle"):
+            out, summary = tmp_path / f"y{len(outs)}.csv", tmp_path / f"mv{len(outs)}.json"
+            flags = ["--seed", "7", *extra, oracle, "--out", str(out), "--summary", str(summary)]
+            assert run(["matvec", "--matrix", str(container)] + flags) == 0
+            reports.append(json.loads(summary.read_text()))
+            outs.append(out.read_bytes())
+            reports[-1].pop("timings")
+        assert reports[0] == reports[1] and outs[0] == outs[1] == outs[2]
+        assert 0 < reports[0].pop("rel_error") <= 1e-4
+        assert reports[0]["config"].pop("oracle_rows") == 256
+        reports[0]["config"]["oracle"] = False
+        assert reports[0] == reports[2]
+
+
+def test_matvec_oracle_ignores_old_size_limit(compressed, tmp_path, monkeypatch):
+    # The dense oracle refused N = 512 here with exit 3; sampled rows have no size limit.
+    container, _ = compressed
+    monkeypatch.setenv("H2FMM_ORACLE_MAX", "100")
+    summary = tmp_path / "mv.json"
+    assert run(["matvec", "--matrix", str(container), "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["rel_error"] <= 1e-4
 
 
 def test_matvec_no_oracle_field(compressed, tmp_path):
@@ -328,29 +397,6 @@ def test_list_flags_rejected(tmp_path, capsys, flag, args):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
-
-
-def test_matvec_oracle_guard_exit_code(compressed, tmp_path, monkeypatch):
-    # The guard refuses right after the load, before any matvec phase runs.
-    container, _ = compressed
-    monkeypatch.setenv("H2FMM_ORACLE_MAX", "100")
-    called = []
-    for phase in ("dense_apply", "upsweep", "coupling", "downsweep"):
-        monkeypatch.setattr(cli, phase, lambda *args, phase=phase: called.append(phase))
-    rc = run(["matvec", "--matrix", str(container), "--summary", str(tmp_path / "g.json")])
-    assert rc == 3
-    assert called == []
-
-
-@pytest.mark.parametrize("text", ["abc", "1.5", "-1"])
-def test_matvec_bad_oracle_limit_usage_error(compressed, tmp_path, monkeypatch, capsys, text):
-    container, _ = compressed
-    monkeypatch.setenv("H2FMM_ORACLE_MAX", text)
-    rc = run(["matvec", "--matrix", str(container), "--summary", str(tmp_path / "g.json")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: H2FMM_ORACLE_MAX ") and err.count("\n") == 1
-    assert "Traceback" not in err
 
 
 def _usage_error(capsys):

@@ -21,7 +21,7 @@ from h2fmm.h2 import (
     upsweep,
 )
 from h2fmm.h2io import load_h2, save_h2
-from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block
+from h2fmm.kernels import KernelSpec, kernel_block
 from h2fmm.morton import MAX_LEVEL
 from h2fmm.tree import _ranges_concat, balance_2to1, build_tree
 from h2_views import (
@@ -127,7 +127,7 @@ def test_ones_kernel_matvec_row_sums(tree512):
 
 
 def test_per_block_reconstruction_vs_oracle(h2_512, tree512):
-    a = dense_matrix(tree512.particles, LAPLACE)
+    a = kernel_block(LAPLACE, tree512.particles.positions, tree512.particles.positions)
     t = tree512
     m = h2_512
     worst = 0.0
@@ -155,7 +155,7 @@ def test_matvec_against_dense_oracle_2048():
     ps = generate(DistributionSpec("random-cube", 2048, seed=1))
     t = build_tree(ps, 16)
     m = compress(t, LAPLACE, eps=1e-6)
-    a = dense_matrix(ps, LAPLACE)
+    a = kernel_block(LAPLACE, ps.positions, ps.positions)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(2048)
     y = matvec(m, x)
@@ -275,7 +275,7 @@ def test_upsweep_single_leaf_direct():
     assert_sweeps_match_reference(m, np.random.default_rng(3))
     assert all(not v.size or True for v in xhat)
     y = matvec(m, x)
-    a = dense_matrix(ps, LAPLACE)
+    a = kernel_block(LAPLACE, ps.positions, ps.positions)
     assert np.allclose(y, a @ x, rtol=1e-12)
 
 
@@ -581,7 +581,7 @@ def assert_per_block_contract(t, kernel, eps):
     within 3 eps of its basis, and every low-rank block is rebuilt within
     10 eps."""
     m = compress(t, kernel, eps=eps)
-    a = dense_matrix(t.particles, kernel)
+    a = kernel_block(kernel, t.particles.positions, t.particles.positions)
     nest = 0.0
     bases = explicit_bases(t, m.row_basis)
     for node, partners in enumerate(far_partners(t, m.blocks)):

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from h2fmm.errors import ConfigurationError, OracleScaleError
+from h2fmm.errors import ConfigurationError
 from h2fmm.geometry import DistributionSpec, ParticleSet, generate
-from h2fmm.kernels import KernelSpec, dense_matrix, kernel_block, oracle_limit
+from h2fmm.kernels import KernelSpec, kernel_block
 
 
 def test_one_kernel_all_ones():
     ps = generate(DistributionSpec("random-cube", 50, seed=0))
-    a = dense_matrix(ps, KernelSpec("one"))
+    a = kernel_block(KernelSpec("one"), ps.positions, ps.positions)
     assert np.array_equal(a, np.ones((50, 50)))
 
 
 def test_laplace3d_inverse_distance():
     ps = ParticleSet(np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 0.6]]))
-    a = dense_matrix(ps, KernelSpec("laplace3d"))
+    a = kernel_block(KernelSpec("laplace3d"), ps.positions, ps.positions)
     assert a[0, 1] == pytest.approx(2.0, abs=1e-14)  # 1/r at r = 0.5
     assert np.isinf(a[0, 0])
 
@@ -28,7 +28,7 @@ def test_off_diagonal_half_at_distance_two():
 
 def test_regularized_diagonal():
     ps = ParticleSet(np.array([[0.5, 0.5, 0.5]]))
-    a = dense_matrix(ps, KernelSpec("laplace3d", regularization=0.25))
+    a = kernel_block(KernelSpec("laplace3d", regularization=0.25), ps.positions, ps.positions)
     assert a[0, 0] == pytest.approx(4.0, rel=1e-14)
 
 
@@ -41,7 +41,7 @@ def test_laplace2d_log():
 
 def test_gaussian_symmetric_to_machine_precision():
     ps = generate(DistributionSpec("random-cube", 64, seed=2))
-    a = dense_matrix(ps, KernelSpec("gaussian", sigma=1.0))
+    a = kernel_block(KernelSpec("gaussian", sigma=1.0), ps.positions, ps.positions)
     assert np.abs(a - a.T).max() < 1e-15
     assert a[3, 3] == pytest.approx(1.0)
 
@@ -55,21 +55,6 @@ def test_batched_blocks_match_one_by_one(kind):
     assert batched.shape == (4, 5, 7)
     for t in range(4):
         np.testing.assert_allclose(batched[t], kernel_block(spec, a[t], b[t]), rtol=1e-13)
-
-
-def test_oracle_guard(monkeypatch):
-    monkeypatch.setenv("H2FMM_ORACLE_MAX", "100")
-    assert oracle_limit() == 100
-    ps = generate(DistributionSpec("random-cube", 101, seed=0))
-    with pytest.raises(OracleScaleError):
-        dense_matrix(ps, KernelSpec("one"))
-
-
-@pytest.mark.parametrize("text", ["abc", "1.5", "-1", ""])
-def test_oracle_limit_rejects_non_integers(monkeypatch, text):
-    monkeypatch.setenv("H2FMM_ORACLE_MAX", text)
-    with pytest.raises(ConfigurationError, match="H2FMM_ORACLE_MAX"):
-        oracle_limit()
 
 
 def test_unknown_kernel_kind():
