@@ -89,14 +89,15 @@ class GlobalLocalSplit:
     a maximal single-owner node (its parent is global, or it is the
     root).  Everything below a local root is local.  A process whose
     Morton range is not a single subtree has several local roots.
-    ``upper`` marks the global nodes and the local roots: the sources of
-    the global phases.
+    ``multi`` marks the global nodes, and ``upper`` marks them and the
+    local roots: the sources of the global phases.
     """
 
     tree: Octree
     partition: Partition
     owner_lo: np.ndarray
     owner_hi: np.ndarray
+    multi: np.ndarray
     upper: np.ndarray
     locator: CellLocator  # the tree's colleague table, built once and shared by the phases of one run
 
@@ -105,13 +106,14 @@ def split_global_local(tree: Octree, partition: Partition) -> GlobalLocalSplit:
     """Each node's owner interval, and the global nodes and local roots."""
     first, count = node_leaves(tree)
     owner_lo, owner_hi = partition.leaf_process[[first, first + count - 1]].astype(np.int32)
-    multi = np.append(owner_lo != owner_hi, True)  # the root's parent, -1, reads the True
+    multi = owner_lo != owner_hi
     return GlobalLocalSplit(
         tree=tree,
         partition=partition,
         owner_lo=owner_lo,
         owner_hi=owner_hi,
-        upper=multi[:-1] | multi[tree.parents],
+        multi=multi,
+        upper=multi | np.append(multi, True)[tree.parents],  # the root's parent, -1, reads the True
         locator=CellLocator(tree),
     )
 
@@ -346,62 +348,54 @@ def _owner_needs(split, nodes, cells):
     return procs, np.repeat(cells, span)
 
 
-def _halo_needs(split, level, sources):
-    """Remote needs of every owner of a ``sources`` node at ``level`` (every
-    node when None) for the cells within two of it, per sibling group."""
-    src, dst = sibling_halos(split.locator, level, sources, split.owner_lo, split.owner_hi)
-    return _remote(split, *_owner_needs(split, src, dst))
-
-
-def _touch_needs(split, among=None):
-    """Remote needs of each leaf's process for the leaves touching it, both
-    among the leaf-table positions ``among`` (default all)."""
+def _touch_pairs(split, among=None):
+    """(leaf, leaf) node-id pairs of touching leaves, both among the
+    leaf-table positions ``among`` (default all)."""
+    ids = split.tree.leaf_ids.astype(np.int64)
     q, m = leaf_adjacency_pairs(split.locator, among=among)
-    procs = split.partition.leaf_process[q].astype(np.int64)
-    return _remote(split, procs, split.tree.leaf_ids[m].astype(np.int64))
+    return ids[q], ids[m]
 
 
 def _dedup(split, procs, cells):
     """Distinct (process, cell) needs, each with its sender: the cell's first owner."""
     n_nodes = np.int64(split.tree.n_nodes)
-    procs, cells = np.divmod(sorted_unique(procs * n_nodes + cells), n_nodes)
+    procs, cells = np.divmod(sorted_unique(np.multiply(procs, n_nodes, dtype=np.int64) + cells), n_nodes)
     return procs, cells, split.owner_lo[cells].astype(np.int64)
 
 
-def _end_owner_needs(split, level, nodes, cells):
-    """One level's (node, cell) pairs as (level, processes, cells, inner): the
-    remote needs of each node's end owners a and b, and the per-process
-    (partners, sent, recv) of the owners in between.  Two nodes of a level
-    have disjoint Morton ranges, so an inner owner co-owns no other cell of
-    the level and owns no other node: it needs the node's cells but the
-    node, each listed once, and each cell's first owner sends b - a - 1.
-    """
-    P = split.partition.P
-    lo, hi = split.owner_lo[nodes], split.owner_hi[nodes]
-    two = np.flatnonzero(lo != hi)
-    wide = two[(hi[two] - lo[two] > 1) & (cells[two] != nodes[two])]
-    key = np.sort(nodes[wide] * P + split.owner_lo[cells[wide]])
-    node, first, n_cells = np.unique(key // P, return_index=True, return_counts=True)
-    span = split.owner_hi[node] - split.owner_lo[node] - 1
-    at = _ranges_concat(split.owner_lo[node] + 1, span)
-    inner = np.zeros((3, P), dtype=np.int64)
-    inner[0, at] = np.repeat(np.add.reduceat(np.append(True, key[1:] != key[:-1]), first), span)
-    inner[1] = np.bincount(key % P, weights=np.repeat(span, n_cells), minlength=P)
-    inner[2, at] = np.repeat(n_cells, span)
-    return level, *_remote(split, np.concatenate([lo, hi[two]]), np.concatenate([cells, cells[two]])), inner
+def _accumulate_phase(split, phase, level_pairs):
+    """Count a phase from its per-level (level, nodes, cells) pairs: every
+    owner of ``nodes[i]`` needs ``cells[i]`` unless it co-owns it.
 
-
-def _accumulate_phase(split, phase, level_needs):
-    """Reduce per-level remote (level, processes, cells, inner) needs, with
-    ``inner`` added per-process (partners, sent, recv), into a PhaseResult.
-    Partners are the changes of (process, sender) in the dedup order, where
-    one level's cells ascend by node id, which is Morton order, and their
-    first owners with them; cells of several levels (P2P) are sorted first.
+    A node's end owners a and b are listed, and their remote needs go
+    through ``_dedup``.  Partners are the changes of (process, sender) in
+    the dedup order, where one level's cells ascend by node id, which is
+    Morton order, and their first owners with them; cells of several
+    levels (P2P) are sorted first.  The owners between a and b are counted
+    in bulk, and a level of single-owner nodes skips that count.  Two
+    nodes of a level have disjoint Morton ranges, so an inner owner
+    co-owns no other cell of the level and owns no other node: it needs
+    the node's cells but the node, each listed once, and each cell's
+    first owner sends b - a - 1.
     """
     P = split.partition.P
     total = np.zeros((3, P), dtype=np.int64)
     per_level = []
-    for level, procs, cells, inner in level_needs:
+    for level, nodes, cells in level_pairs:
+        procs, lvl = split.owner_lo[nodes], np.zeros((3, P), dtype=np.int64)
+        two = np.flatnonzero(split.multi[nodes])
+        if len(two):
+            hi = split.owner_hi[nodes[two]]
+            wide = two[(hi - procs[two] > 1) & (cells[two] != nodes[two])]
+            key = np.sort(nodes[wide] * P + split.owner_lo[cells[wide]])
+            node, first, n_cells = np.unique(key // P, return_index=True, return_counts=True)
+            span = split.owner_hi[node] - split.owner_lo[node] - 1
+            at = _ranges_concat(split.owner_lo[node] + 1, span)
+            lvl[0, at] = np.repeat(np.add.reduceat(np.append(True, key[1:] != key[:-1]), first), span)
+            lvl[1] = np.bincount(key % P, weights=np.repeat(span, n_cells), minlength=P)
+            lvl[2, at] = np.repeat(n_cells, span)
+            procs, cells = np.concatenate([procs, hi]), np.concatenate([cells, cells[two]])
+        procs, cells = _remote(split, procs, cells)
         if not len(procs):
             continue
         p, _, sender = _dedup(split, procs, cells)
@@ -409,7 +403,7 @@ def _accumulate_phase(split, phase, level_needs):
         if (pp[1:] < pp[:-1]).any():
             pp.sort()  # within each process's run, so p stays in step
         new = np.append(True, pp[1:] != pp[:-1])
-        lvl = np.stack([np.bincount(a, minlength=P) for a in (p[new], sender, p)]) + inner
+        lvl += np.stack([np.bincount(a, minlength=P) for a in (p[new], sender, p)])
         total += lvl
         per_level.append((level, int(lvl[0].max()), int(lvl[2].max())))
     return PhaseResult(phase, *total, per_level)
@@ -446,7 +440,7 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
     sibling's first owner.
     """
     tree = split.tree
-    needs = []
+    pairs = []
     for level in range(1, tree.depth + 1):
         ids = tree.level_nodes(level)
         ids = ids[split.upper[ids]]
@@ -455,15 +449,15 @@ def sim_global_m2m(split: GlobalLocalSplit) -> PhaseResult:
         sibs = _ranges_concat(tree.child_start[parents].astype(np.int64), sib_count)
         owners = np.repeat(ids, sib_count)
         keep = sibs != owners
-        needs.append(_end_owner_needs(split, level, owners[keep], sibs[keep]))
-    return _accumulate_phase(split, "global-m2m", needs)
+        pairs.append((level, owners[keep], sibs[keep]))
+    return _accumulate_phase(split, "global-m2m", pairs)
 
 
 def sim_global_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """Interaction halos of global-tree cells, two cells wide per level and sibling group."""
     levels = range(1, split.tree.depth + 1)
     halos = ((lv, *sibling_halos(split.locator, lv, split.upper, split.owner_lo, split.owner_hi)) for lv in levels)
-    return _accumulate_phase(split, "global-m2l", (_end_owner_needs(split, *h) for h in halos))
+    return _accumulate_phase(split, "global-m2l", halos)
 
 
 def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
@@ -477,14 +471,12 @@ def sim_local_m2l(split: GlobalLocalSplit) -> PhaseResult:
     """
     tree = split.tree
     sources = ~split.upper & ~_interior(split, 2)
-    local = split.owner_lo == split.owner_hi
-    needs = []
+    pairs = []
     for level in range(1, tree.depth + 1):
         src, dst = sibling_halos(split.locator, level, sources, split.owner_lo)
-        keep = local[dst]
-        procs = split.owner_lo[src[keep]].astype(np.int64)
-        needs.append((level, *_remote(split, procs, dst[keep]), 0))
-    return _accumulate_phase(split, "local-m2l", needs)
+        keep = ~split.multi[dst]
+        pairs.append((level, src[keep], dst[keep]))
+    return _accumulate_phase(split, "local-m2l", pairs)
 
 
 def sim_local_p2p(split: GlobalLocalSplit) -> PhaseResult:
@@ -494,16 +486,17 @@ def sim_local_p2p(split: GlobalLocalSplit) -> PhaseResult:
     touching leaves with different owners each lie in the other's window.
     """
     among = np.flatnonzero(~_interior(split, 1)[split.tree.leaf_ids])
-    return _accumulate_phase(split, "local-p2p", [(0, *_touch_needs(split, among), 0)])
+    return _accumulate_phase(split, "local-p2p", [(0, *_touch_pairs(split, among))])
 
 
 def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     """Baseline without hierarchical aggregation.
 
-    Every process pulls each cell of its essential tree individually: the
-    needs of the hierarchical phases' M2L halos (``_halo_needs``), taken
-    over every node, and of their leaf contacts (``_touch_needs``), each
-    counted once over the whole tree instead of once per level.  Partners are all distinct owners of any needed cell, and coarse
+    Every process pulls each cell of its essential tree individually: it
+    reads the pairs of the hierarchical phases' M2L halos, taken over
+    every node, and of their leaf contacts (``_touch_pairs``), and counts
+    each remote need once over the whole tree instead of once per level.
+    Partners are all distinct owners of any needed cell, and coarse
     cells are owned by whole process groups.  A cell's owners are the
     interval [owner_lo, owner_hi], so a process's partner count is the
     size of the union of its needed cells' intervals: sorted by lower
@@ -511,9 +504,11 @@ def sim_direct_let(split: GlobalLocalSplit) -> PhaseResult:
     upper ends before it.
     """
     P = split.partition.P
-    needs = [_halo_needs(split, level, None) for level in range(1, split.tree.depth + 1)]
-    procs, cells = (np.concatenate(a) for a in zip(*needs, _touch_needs(split)))
-    p, cell, sender = _dedup(split, procs, cells)
+    levels = range(1, split.tree.depth + 1)
+    halos = (sibling_halos(split.locator, lv, None, split.owner_lo, split.owner_hi) for lv in levels)
+    needs = [_remote(split, *_owner_needs(split, *pairs)) for pairs in halos]
+    needs.append(_remote(split, *_owner_needs(split, *_touch_pairs(split))))
+    p, cell, sender = _dedup(split, *(np.concatenate(a) for a in zip(*needs)))
     recv = np.bincount(p, minlength=P)
     sent = np.bincount(sender, minlength=P)
     lo, hi = split.owner_lo[cell].astype(np.int64), split.owner_hi[cell].astype(np.int64)

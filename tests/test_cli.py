@@ -11,9 +11,12 @@ import pytest
 
 from h2fmm import cli
 from h2fmm.cli import main
+from h2fmm.commsim import CommReport
+from h2fmm.geometry import DistributionSpec, generate
 from h2fmm.h2 import matvec
 from h2fmm.h2io import VERSION, decode, load_h2
 from h2fmm.kernels import kernel_block
+from h2fmm.tree import balance_2to1, build_tree
 
 
 def run(args):
@@ -324,6 +327,27 @@ def test_commsim_zero_leaf_capacity_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_commsim_more_processes_than_leaves_exit_code(tmp_path, capsys):
+    # 4096 plummer particles fill 1042 leaves of 16: a guard, not a usage error.
+    out = tmp_path / "x.csv"
+    rc = run(["commsim", "--dist", "plummer", "--P", "4096", "--n-per-p", "1", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: cannot split 1042 leaves over 4096 processes\n"
+    assert not out.exists()
+
+
+def test_commsim_broken_invariant_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(self):
+        raise AssertionError("phase global-m2m: sent 1 != recv 2")
+
+    monkeypatch.setattr(CommReport, "check_conservation", broken)
+    out = tmp_path / "x.csv"
+    rc = run(["commsim", "--dist", "plummer", "--P", "8", "--n-per-p", "64", "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == "internal invariant failure: phase global-m2m: sent 1 != recv 2\n"
+    assert not out.exists()
+
+
 def test_commsim_direct_periodic_stdout(tmp_path, capsys):
     args = ["commsim", "--dist", "random", "--P", "8", "--n-per-p", "512", "--model", "direct"]
     assert run(args + ["--mode", "periodic", "--summary", str(tmp_path / "s.json")]) == 0
@@ -357,6 +381,27 @@ def test_matvec_one_value_vector(tmp_path):
     x.write_text("2.5\n")
     assert run(["matvec", "--matrix", str(container), "--x", str(x), "--out", str(y), "--summary", summary]) == 0
     assert y.read_text() == f"{float(matvec(load_h2(container), np.array([2.5]))[0])!r}\n"
+
+
+def test_matvec_vector_length_mismatch_rejected(tmp_path, capsys):
+    container, x, summary = tmp_path / "m.h2", tmp_path / "x.csv", tmp_path / "s.json"
+    assert run(["compress", "--n", "300", "--delta", "1e-2", "--out", str(container), "--summary", str(summary)]) == 0
+    x.write_text("1.0\n2.0\n3.0\n")
+    rc = run(["matvec", "--matrix", str(container), "--x", str(x), "--summary", str(summary)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: vector length (3,) does not match N=300\n"
+
+
+def test_compress_balance(tmp_path):
+    # At N = 300 the plummer tree gains nodes in balancing; the random cube's does not.
+    container, summary = tmp_path / "m.h2", tmp_path / "s.json"
+    args = ["compress", "--dist", "plummer", "--n", "300", "--delta", "1e-2", "--balance"]
+    assert run(args + ["--out", str(container), "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["config"]["balance"] is True
+    octree = load_h2(container).octree
+    tree = build_tree(generate(DistributionSpec("plummer", 300, 0)), 16)
+    assert octree.balanced
+    assert octree.n_nodes == balance_2to1(tree).n_nodes > tree.n_nodes
 
 
 @pytest.mark.parametrize("content", ["1.0,abc\n", None])

@@ -616,20 +616,15 @@ def test_sibling_halo_phases_cover_group_shapes():
 HIER_PHASES = (sim_global_m2m, sim_global_m2l, sim_local_m2l, sim_local_p2p)
 
 
-def _every_owner_needs(split, level, nodes, cells):
-    """The expansion that the end-owner split replaced: every owner of
-    ``nodes[i]`` paired with ``cells[i]``, then the remote filter."""
-    return level, *commsim._remote(split, *commsim._owner_needs(split, nodes, cells)), 0
-
-
-def _sorted_accumulate(split, phase, level_needs):
-    """The accumulation that counting partners by runs replaced: remote needs
+def _reference_accumulate(split, phase, level_pairs):
+    """The count that the end-owner split and the partner runs replaced:
+    every owner of ``nodes[i]`` paired with ``cells[i]``, the remote needs
     deduplicated, and partners by a sort of the (process, sender) pairs."""
     P = split.partition.P
     partners, sent, recv = (np.zeros(P, dtype=np.int64) for _ in range(3))
     per_level = []
-    for level, procs, cells, inner in level_needs:
-        assert np.all(inner == 0)
+    for level, nodes, cells in level_pairs:
+        procs, cells = commsim._remote(split, *commsim._owner_needs(split, nodes, cells))
         if not len(procs):
             continue
         p, _, sender = commsim._dedup(split, procs, cells)
@@ -643,9 +638,8 @@ def _sorted_accumulate(split, phase, level_needs):
 
 
 def _reference_digests(split):
-    with mock.patch.object(commsim, "_end_owner_needs", _every_owner_needs):
-        with mock.patch.object(commsim, "_accumulate_phase", _sorted_accumulate):
-            return [_phase_digest(sim(split)) for sim in HIER_PHASES]
+    with mock.patch.object(commsim, "_accumulate_phase", _reference_accumulate):
+        return [_phase_digest(sim(split)) for sim in HIER_PHASES]
 
 
 @settings(max_examples=30, deadline=None)

@@ -662,3 +662,23 @@ def test_compress_bitwise_deterministic(tree512):
     assert np.array_equal(a.row_basis.mats.data, b.row_basis.mats.data)
     assert np.array_equal(a.blocks.coupling.data, b.blocks.coupling.data)
     assert np.array_equal(a.blocks.dense.data, b.blocks.dense.data)
+
+
+@pytest.mark.parametrize("kernel", [LAPLACE, KernelSpec("gaussian", sigma=0.3)])
+def test_kernel_rows_chunked_columns(monkeypatch, kernel):
+    # A small cap splits the columns into several blocks, each within the
+    # cap; the stitched rows are the one-block evaluation's, bit for bit.
+    rng = np.random.default_rng(5)
+    rows, cols = rng.random((5, 3)), rng.random((100, 3))
+    shapes = []
+
+    def recording(k, a, b):
+        shapes.append((len(a), len(b)))
+        return kernel_block(k, a, b)
+
+    monkeypatch.setattr(h2_module, "_CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(h2_module, "kernel_block", recording)
+    got = h2_module._kernel_rows(kernel, rows, cols)
+    assert len(shapes) == 9 and all(r * c <= 64 for r, c in shapes)
+    assert sum(c for _, c in shapes) == 100
+    assert np.array_equal(got, kernel_block(kernel, rows, cols))
