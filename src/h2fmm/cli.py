@@ -159,7 +159,7 @@ def cmd_compress(args) -> int:
         tree = balance_2to1(tree)
     t_tree = time.perf_counter() - t0
     t0 = time.perf_counter()
-    h2 = compress(tree, kernel, eps=args.eps, max_rank=args.max_rank)
+    h2 = compress(tree, kernel, eps=args.eps)
     t_compress = time.perf_counter() - t0
     if args.out:
         save_h2(h2, args.out)
@@ -173,7 +173,6 @@ def cmd_compress(args) -> int:
             "sigma": kernel.sigma,
             "eps": args.eps,
             "eta": ETA,
-            "max_rank": args.max_rank,
             "leaf_capacity": args.leaf_capacity,
             "balance": args.balance,
             "format_version": VERSION,
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0, help="kernel regularization")
     p.add_argument("--sigma", type=float, default=1.0, help="gaussian width")
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--leaf-capacity", type=int, default=16)
     p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--out", default=None, help="H2 container path")

@@ -53,7 +53,6 @@ bases and blocks, so its format does not depend on how they were built.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -305,7 +304,6 @@ class H2Matrix:
     octree: Octree
     kernel: KernelSpec
     eps: float
-    max_rank: int | None
     row_basis: BasisTree  # the one basis; it serves the columns too
     blocks: BlockTree
 
@@ -333,7 +331,7 @@ class H2Matrix:
         _ = self._sweep_plan, self.blocks.coupling._plan, self.blocks.dense._plan
 
     def flagged_nodes(self) -> list:
-        """(node, tail) of nodes whose rank cap left a truncation tail above eps."""
+        """(node, tail) of nodes whose truncation tail, computed or loaded, is above eps."""
         bad = np.flatnonzero(self.row_basis.tails > self.eps)
         return [(int(b), float(self.row_basis.tails[b])) for b in bad]
 
@@ -345,7 +343,6 @@ class H2Matrix:
             "kernel": self.kernel.kind,
             "eps": self.eps,
             "eta": ETA,
-            "max_rank": self.max_rank,
             "lowrank_blocks": self.blocks.n_lowrank,
             "dense_blocks": self.blocks.n_dense,
             "max_rank_achieved": int(ranks.max()) if len(ranks) else 0,
@@ -420,7 +417,7 @@ def _left_singular(R):
     return u, s
 
 
-def _truncate(scaled, eps, max_rank, bounds):
+def _truncate(scaled, eps, bounds):
     """Basis of the scaled far row; rank from the per-block tail criterion.
 
     The rank is the smallest r whose projection leaves every unit-norm
@@ -438,8 +435,6 @@ def _truncate(scaled, eps, max_rank, bounds):
     np.maximum(resid, 0.0, out=resid)
     ok = (resid <= eps * eps * total[None, :]).all(axis=1)
     r = int(np.argmax(ok)) + 1 if ok.any() else u.shape[1]
-    if max_rank is not None:
-        r = min(r, max_rank)
     tail = math.sqrt(float((resid[r - 1] / total).max())) if r >= 1 else 1.0
     return u[:, :r], proj[:r], tail
 
@@ -503,7 +498,7 @@ def _pivoted_rows(b, k):
     return np.array(picked, dtype=np.int64)
 
 
-def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree):
+def _build_basis(tree: Octree, kernel, eps, blocks: BlockTree):
     """Bottom-up nested basis over skeleton points.
 
     A node's rows are its particles (a leaf) or its children's skeleton
@@ -552,7 +547,7 @@ def _build_basis(tree: Octree, kernel, eps, max_rank, blocks: BlockTree):
             norms[norms == 0.0] = 1.0
             scale = np.repeat(1.0 / norms, widths)
             r *= scale
-            mats[node], proj, tails[node] = _truncate(r, eps, max_rank, bounds)
+            mats[node], proj, tails[node] = _truncate(r, eps, bounds)
             ranks[node] = rank = mats[node].shape[1]
             # proj = sigma_r V_r^T, V_r the leading right singular vectors of r.
             # Skeletons: rank + 2 rows of a V_r (U_r sigma_r at a leaf, where a
@@ -623,20 +618,15 @@ def _fill_coupling(store, kernel, skel, gmat, ranks):
     store.fill(lambda ri, rj: (ri + 2) * (rj + 2), blocks)
 
 
-def check_parameters(kernel: KernelSpec, eps, max_rank) -> None:
-    """Raise ConfigurationError unless eps is a real in (0, 1), max_rank
-    None or an integer >= 1 (a bool is neither), and the kernel is finite
-    on the diagonal."""
+def check_parameters(kernel: KernelSpec, eps) -> None:
+    """Raise ConfigurationError unless eps is a real in (0, 1) (a bool is
+    not one) and the kernel is finite on the diagonal."""
     if not (_real(eps) and 0.0 < eps < 1.0):
         raise ConfigurationError(f"eps must be in (0, 1), got {eps!r}")
-    if max_rank is not None and not (
-        isinstance(max_rank, numbers.Integral) and _real(max_rank) and max_rank >= 1
-    ):
-        raise ConfigurationError(f"max_rank must be None or an integer >= 1, got {max_rank!r}")
-    if kernel.kind in ("laplace3d", "laplace2d") and kernel.regularization == 0.0:
+    if kernel.kind in ("laplace3d", "laplace2d") and kernel.regularization**2 == 0.0:
         raise ConfigurationError(
-            f"{kernel.kind} with regularization 0 is infinite on the diagonal; "
-            "give a delta > 0"
+            f"{kernel.kind} with regularization {kernel.regularization!r} is infinite on "
+            "the diagonal; give a delta whose square is > 0"
         )
 
 
@@ -644,7 +634,6 @@ def compress(
     tree: Octree,
     kernel: KernelSpec,
     eps: float = 1e-6,
-    max_rank: int | None = None,
 ) -> H2Matrix:
     """Build the H2 representation of the kernel matrix over ``tree``.
 
@@ -659,12 +648,9 @@ def compress(
         particles define the matrix indexing.
     kernel : KernelSpec
         The singular kinds (laplace3d, laplace2d) need a regularization
-        above 0; ConfigurationError otherwise.
+        whose square is above 0; ConfigurationError otherwise.
     eps : float
         Relative Frobenius tolerance per admissible block, in (0, 1).
-    max_rank : int or None
-        Cap on per-node rank, at least 1; nodes that hit the cap with a
-        residual tail above eps are reported in the build summary.
 
     Returns
     -------
@@ -673,13 +659,13 @@ def compress(
     Raises
     ------
     ConfigurationError
-        For an eps or max_rank of the wrong type or out of range,
-        or a singular kernel without regularization
+        For an eps of the wrong type or out of range, or a singular
+        kernel whose regularization squares to 0
         (:func:`check_parameters`).
     """
-    check_parameters(kernel, eps, max_rank)
+    check_parameters(kernel, eps)
     blocks = build_block_tree(tree)
-    ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, max_rank, blocks)
+    ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, blocks)
     basis, pairs, dense = _storage(tree, blocks, ranks)
     for nodes, out in basis.groups():
         np.stack([mats[n] for n in nodes.tolist()], out=out)
@@ -690,7 +676,6 @@ def compress(
         octree=tree,
         kernel=kernel,
         eps=eps,
-        max_rank=max_rank,
         row_basis=BasisTree(ranks=ranks, tails=tails, mats=basis),
         blocks=blocks,
     )

@@ -12,8 +12,8 @@ built from, and the reader rebuilds the tree with :func:`build_tree`
 (then :func:`balance_2to1` when ``balanced``), warning again about
 coincident particles past level 21.  A position that is not finite or
 outside [0, 1)^3, a repeated particle index, a ``leaf_capacity`` that is
-not an integer >= 1, a ``balanced`` that is not a bool, a kernel,
-``eps`` or ``max_rank`` that :func:`compress` would refuse, an ``eta``
+not an integer >= 1, a ``balanced`` that is not a bool, a kernel or
+``eps`` that :func:`compress` would refuse, an ``eta``
 other than ``h2.ETA``, a tail that is not finite or below 0, and a node
 count other than the rebuilt tree's are rejected; so are ranks and block
 ids that do not fit the rebuilt tree, and block pairs not sorted by row
@@ -88,7 +88,6 @@ def save_h2(h2: H2Matrix, path) -> None:
         "kernel": dataclasses.asdict(h2.kernel),
         "eps": h2.eps,
         "eta": ETA,
-        "max_rank": h2.max_rank,
         "n": tree.n_particles,
         "n_nodes": tree.n_nodes,
         "leaf_capacity": tree.leaf_capacity,
@@ -148,7 +147,7 @@ def decode(buf) -> H2Matrix:
     try:
         header = json.loads(bytes(buf[_PREFIX.size : pos]))
         layout = _layout(header)
-        eps, eta, max_rank = header["eps"], header["eta"], header["max_rank"]
+        eps, eta = header["eps"], header["eta"]
         capacity, balanced = header["leaf_capacity"], header["balanced"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ContainerError(f"malformed container header: {exc!r}") from None
@@ -170,7 +169,7 @@ def decode(buf) -> H2Matrix:
     _require(np.isfinite(tails).all() and (tails >= 0).all(), "tails must be finite and >= 0")
     try:
         kernel = KernelSpec(**header["kernel"])
-        check_parameters(kernel, eps, max_rank)
+        check_parameters(kernel, eps)
         particles = ParticleSet(arrays["positions"], arrays["indices"], arrays["charges"])
         tree = build_tree(particles, capacity)
         tree = balance_2to1(tree) if balanced else tree
@@ -199,7 +198,6 @@ def decode(buf) -> H2Matrix:
         octree=tree,
         kernel=kernel,
         eps=eps,
-        max_rank=max_rank,
         row_basis=BasisTree(ranks=ranks, tails=tails, mats=stores[0]),
         blocks=blocks,
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 KERNEL_KINDS = ("laplace3d", "laplace2d", "gaussian", "one")
+_ROOT_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
 def _real(v) -> bool:
@@ -24,7 +26,8 @@ class KernelSpec:
     ``regularization`` is the delta in r -> sqrt(r^2 + delta^2); with
     delta = 0 the singular kernels are infinite at coincident points.
     ``sigma`` is the gaussian width and is ignored by the other kinds.
-    Both must be finite reals, and a bool is not one.
+    Both must be reals whose squares, which the kernels use, are finite
+    (a bool is not a real), and a gaussian's sigma squared must be > 0.
     """
 
     kind: str = "laplace3d"
@@ -36,15 +39,15 @@ class KernelSpec:
             raise ConfigurationError(
                 f"unsupported kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
-        if not all(_real(v) and math.isfinite(v) for v in (self.regularization, self.sigma)):
+        if not all(_real(v) and abs(v) <= _ROOT_MAX for v in (self.regularization, self.sigma)):
             raise ConfigurationError(
-                f"kernel parameters must be finite reals, got regularization="
+                f"kernel parameters must be reals with finite squares, got regularization="
                 f"{self.regularization!r}, sigma={self.sigma!r}"
             )
         if self.regularization < 0.0:
             raise ConfigurationError("regularization must be >= 0")
-        if self.kind == "gaussian" and self.sigma <= 0.0:
-            raise ConfigurationError("gaussian sigma must be > 0")
+        if self.kind == "gaussian" and not (self.sigma > 0.0 and self.sigma**2 > 0.0):
+            raise ConfigurationError(f"gaussian sigma must be > 0 with a square > 0, got {self.sigma!r}")
 
 
 def kernel_block(spec: KernelSpec, points_a, points_b) -> np.ndarray:

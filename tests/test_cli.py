@@ -307,7 +307,10 @@ def test_compress_singular_kernel_without_delta_rejected(tmp_path, capsys, kerne
 
 @pytest.mark.parametrize(
     "flags",
-    [["--eps", "0"], ["--eps", "-1"], ["--max-rank", "0"], ["--eps", "nan"], ["--max-rank", "-1"]],
+    [
+        ["--eps", "0"], ["--eps", "-1"], ["--eps", "nan"], ["--sigma", "1e-300"], ["--sigma", "1e200"],
+        ["--kernel", "laplace3d", "--delta", "1e-200"], ["--kernel", "laplace3d", "--delta", "1e300"],
+    ],
 )
 def test_compress_out_of_range_parameters_rejected(tmp_path, capsys, flags):
     out = tmp_path / "m.h2"

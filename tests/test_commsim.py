@@ -107,6 +107,12 @@ def test_partition_infeasible():
         partition_sfc(t, t.n_leaves + 1)
 
 
+def test_partition_needs_a_process():
+    t = build_tree(generate(DistributionSpec("random-cube", 20, seed=0)), 16)
+    with pytest.raises(ConfigurationError):
+        partition_sfc(t, 0)
+
+
 def _loop_cuts(tree, P):
     """The greedy cut loop that ``partition_sfc`` replaced by a running max."""
     cum = np.cumsum(tree.counts[tree.leaf_ids].astype(np.int64))
@@ -234,9 +240,24 @@ def test_uniform_conservation():
         rep.check_conservation()
 
 
+def test_conservation_check_catches_unequal_phase():
+    rep = uniform_comm_report(8, 64, mode="periodic")
+    ph = rep.phase("global-m2m")
+    ph.cells_recv = ph.cells_recv.copy()
+    ph.cells_recv[0] += 1
+    message = f"phase global-m2m: sent {ph.total_sent} != recv {ph.total_sent + 1}"
+    with pytest.raises(AssertionError, match=message):
+        rep.check_conservation()
+
+
 def test_power_of_8_required():
     with pytest.raises(ConfigurationError):
         uniform_comm_report(10, 64)
+
+
+def test_uniform_unknown_mode_rejected():
+    with pytest.raises(ConfigurationError):
+        uniform_comm_report(8, 64, mode="x")
 
 
 _UNIFORM_SWEEP = [

@@ -524,14 +524,6 @@ def test_flop_report_matches_structure(h2_512):
     assert fl["total"] == sum(v for k, v in fl.items() if k != "total")
 
 
-def test_max_rank_cap_flags_nodes(tree512):
-    m = compress(tree512, LAPLACE, eps=1e-8, max_rank=3)
-    flagged = m.flagged_nodes()
-    assert flagged, "a rank cap of 3 at eps=1e-8 must leave residual tails"
-    assert (m.row_basis.ranks <= 3).all()
-    assert m.summary()["flagged_nodes"] == len(flagged)
-
-
 def test_hat_vector_level_major_order(h2_512):
     rng = np.random.default_rng(8)
     x = rng.standard_normal(h2_512.n)
@@ -545,15 +537,12 @@ def test_hat_vector_level_major_order(h2_512):
 def test_compress_validation(tree512):
     with pytest.raises(ValueError):
         compress(tree512, LAPLACE, eps=1.5)
-    with pytest.raises(ValueError):
-        compress(tree512, LAPLACE, eps=1e-4, max_rank=0)
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(eps=0.0), dict(eps=-1.0), dict(eps=1.0), dict(max_rank=0),
-     dict(eps=float("inf")), dict(eps=float("nan")), dict(max_rank=-1), dict(max_rank=float("inf")),
-     dict(eps="x"), dict(eps=True), dict(eps=None), dict(max_rank=1.5), dict(max_rank=True)],
+    [dict(eps=0.0), dict(eps=-1.0), dict(eps=1.0), dict(eps=float("inf")), dict(eps=float("nan")),
+     dict(eps="x"), dict(eps=True), dict(eps=None)],
 )
 def test_compress_out_of_range_parameters_rejected(tree512, kwargs):
     with pytest.raises(ConfigurationError):

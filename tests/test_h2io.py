@@ -373,14 +373,12 @@ CORRUPT = {
     "eta-negative": dict(header=lambda head: {"eta": -1}),
     "eta-true": dict(header=lambda head: {"eta": True}),
     "eta-2": dict(header=lambda head: {"eta": 2.0}),
-    "max-rank-0": dict(header=lambda head: {"max_rank": 0}),
-    "max-rank-1.5": dict(header=lambda head: {"max_rank": 1.5}),
-    "max-rank-str": dict(header=lambda head: {"max_rank": "x"}),
-    "max-rank-true": dict(header=lambda head: {"max_rank": True}),
     "laplace-delta-0": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=0.0)}),
     "delta-true": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=True)}),
     "delta-str": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization="0.01")}),
     "sigma-true": dict(header=lambda head: {"kernel": dict(head["kernel"], sigma=True)}),
+    "sigma-1e-300": dict(header=lambda head: {"kernel": dict(head["kernel"], kind="gaussian", sigma=1e-300)}),
+    "delta-1e300": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=1e300)}),
     "nan-tail": dict(tails=_set(0, np.nan)),
     "negative-tail": dict(tails=_set(1, -1.0)),
     "lr-unsorted": dict(lr_row=np.flip, lr_col=np.flip),
@@ -396,6 +394,25 @@ def test_rewrite_unchanged_is_identity(tiny_container):
 def test_corrupt_particles_and_header_rejected(tiny_container, case):
     with pytest.raises(ContainerError):
         decode(bytearray(_rewrite(tiny_container, **CORRUPT[case])))
+
+
+def test_flagged_nodes_report_stored_tails(tiny_container):
+    # A tail above eps is flagged whether compress left it or the file holds it.
+    assert decode(bytearray(tiny_container)).summary()["flagged_nodes"] == 0
+    eps, k = _header(tiny_container)["eps"], 5
+    m = decode(bytearray(_rewrite(tiny_container, tails=_set(k, 2 * eps))))
+    assert m.flagged_nodes() == [(k, 2 * eps)]
+    assert m.summary()["flagged_nodes"] == 1
+
+
+@pytest.mark.parametrize("value", [None, 3, "x"])
+def test_header_max_rank_key_ignored(tiny_container, value):
+    # Earlier writers stored a rank cap under "max_rank"; the key is ignored
+    # like any unknown one, and the product is unchanged.
+    old = decode(bytearray(_rewrite(tiny_container, header=lambda head: {"max_rank": value})))
+    new = decode(bytearray(tiny_container))
+    x = np.random.default_rng(0).standard_normal(new.n)
+    assert np.array_equal(matvec(old, x), matvec(new, x))
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT))

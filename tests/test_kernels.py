@@ -63,12 +63,19 @@ def test_unknown_kernel_kind():
     with pytest.raises(ConfigurationError):
         KernelSpec("gaussian", sigma=0.0)
     with pytest.raises(ConfigurationError):
+        KernelSpec("gaussian", sigma=1e-300)  # its square, which the kernel divides by, is 0
+    with pytest.raises(ConfigurationError):
         KernelSpec("laplace3d", regularization=-1.0)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, False, "0.01", None])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), float("-inf"), 1e200, -1e200, pytest.param(10**400, id="10**400"),
+     True, False, "0.01", None],
+)
 def test_non_finite_kernel_parameters_rejected(bad):
-    # A bool, a string or None is not a real number.
+    # A bool, a string or None is not a real number; the square of 1e200
+    # or 10**400, which the kernels use, is infinite.
     with pytest.raises(ConfigurationError, match="finite"):
         KernelSpec("laplace3d", regularization=bad)
     with pytest.raises(ConfigurationError, match="finite"):
