@@ -541,7 +541,8 @@ def test_compress_validation(tree512):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(eps=0.0), dict(eps=-1.0), dict(eps=1.0), dict(eps=float("inf")), dict(eps=float("nan")),
+    [dict(eps=0.0), dict(eps=-1.0), dict(eps=1.0), dict(eps=float("-inf")),
+     dict(eps=float("inf")), dict(eps=float("nan")), dict(eps=2), dict(eps="1e-4"),
      dict(eps="x"), dict(eps=True), dict(eps=None)],
 )
 def test_compress_out_of_range_parameters_rejected(tree512, kwargs):
