@@ -38,7 +38,7 @@ from .geometry import (
     save_binary,
     save_csv,
 )
-from .h2 import ETA, compress, coupling, dense_apply, downsweep, flop_report, storage_report, upsweep
+from .h2 import compress, coupling, dense_apply, downsweep, flop_report, storage_report, upsweep
 from .h2io import VERSION, load_h2, save_h2
 from .kernels import KernelSpec, kernel_block
 from .tree import DEFAULT_LEAF_CAPACITY, balance_2to1, build_tree, depth_stats
@@ -172,7 +172,6 @@ def cmd_compress(args) -> int:
             "delta": kernel.regularization,
             "sigma": kernel.sigma,
             "eps": args.eps,
-            "eta": ETA,
             "leaf_capacity": args.leaf_capacity,
             "balance": args.balance,
             "format_version": VERSION,
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree-stats", help="depth table over an n sweep")
     p.add_argument("--dists", default="random,surface,plummer")
     p.add_argument("--n-values", required=True, help="comma-separated ascending counts")
-    p.add_argument("--leaf-capacity", type=int, default=16)
+    p.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tree_stats)
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0, help="kernel regularization")
     p.add_argument("--sigma", type=float, default=1.0, help="gaussian width")
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--leaf-capacity", type=int, default=16)
+    p.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY)
     p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--out", default=None, help="H2 container path")
     p.add_argument("--summary", default=None, help="JSON report path (default stdout)")

@@ -184,20 +184,20 @@ class BlockRows:
         ]
         return _ranges_concat(self.starts[self.cols], w[self.cols]), rows
 
-    def apply(self, x, size, both_ways=False) -> np.ndarray:
-        """Sum of B_ij x_j into slot i over the pairs, in a vector of ``size``.
+    def apply(self, x, both_ways=False) -> np.ndarray:
+        """Sum of B_ij x_j into slot i over the pairs, in a vector as long as ``x``.
 
         Both ways, each B_ij^T x_i is also added into slot j, by one
         ``bincount`` over the gathered partner slots.  Those products
         overwrite the row node's gathered partners once they are read.
         """
         gather, rows = self._plan
-        g, y = x[gather], np.zeros(size)
+        g, y = x[gather], np.zeros(len(x))
         for b, cat, slot in rows:
             np.dot(g[cat], b, out=y[slot])
             if both_ways:
                 np.dot(b, x[slot], out=g[cat])
-        return y + np.bincount(gather, g, minlength=size) if both_ways else y
+        return y + np.bincount(gather, g, minlength=len(x)) if both_ways else y
 
 
 @dataclass
@@ -561,23 +561,31 @@ def _build_basis(tree: Octree, kernel, eps, blocks: BlockTree):
     return ranks, tails, mats, skel, gmat
 
 
-def _storage(tree: Octree, blocks: BlockTree, ranks):
-    """Empty basis, coupling and dense storage.
+def assemble(tree: Octree, kernel, eps, blocks: BlockTree, ranks, tails, data=None) -> H2Matrix:
+    """The H2 matrix over ``tree`` with its basis, coupling and dense stores.
 
     The basis items are the nodes, grouped deepest level first; the
     coupling pairs are the low-rank pairs i < j, and the dense pairs all
-    dense pairs, both in block tree order.
+    dense pairs, both in block tree order.  Given ``data``, the stores
+    take its (basis, coupling, dense) arrays, whose lengths must be the
+    layout's (ValueError otherwise); without it they are uninitialised.
     """
     off = np.concatenate([[0], np.cumsum(ranks, dtype=np.int64)])
     end = tree.child_start.astype(np.int64) + tree.child_count
     rows = np.where(tree.is_leaf, tree.counts, off[end] - off[tree.child_start])
     keys = np.stack([-tree.levels.astype(np.int64), rows, ranks], axis=1).astype(np.int64)
     upper = blocks.lr_row < blocks.lr_col
-    return (
+    stores = (
         Packed.allocate(np.arange(tree.n_nodes), keys),
         BlockRows(blocks.lr_row[upper], blocks.lr_col[upper], off[:-1], ranks),
         BlockRows(blocks.dense_row, blocks.dense_col, tree.starts, tree.counts),
     )
+    for store, name, held in zip(stores, ("basis", "coupling", "dense"), data or ()):
+        if held.size != store.data.size:
+            raise ValueError(f"{name} data holds {held.size} reals; the tree implies {store.data.size}")
+        store.data = held
+    blocks.coupling, blocks.dense = stores[1:]
+    return H2Matrix(tree, kernel, eps, BasisTree(ranks, tails, stores[0]), blocks)
 
 
 def _fill_dense(store, kernel, tree: Octree):
@@ -666,19 +674,12 @@ def compress(
     check_parameters(kernel, eps)
     blocks = build_block_tree(tree)
     ranks, tails, mats, skel, gmat = _build_basis(tree, kernel, eps, blocks)
-    basis, pairs, dense = _storage(tree, blocks, ranks)
-    for nodes, out in basis.groups():
+    h2 = assemble(tree, kernel, eps, blocks, ranks, tails)
+    for nodes, out in h2.row_basis.mats.groups():
         np.stack([mats[n] for n in nodes.tolist()], out=out)
-    _fill_coupling(pairs, kernel, skel, gmat, ranks)
-    _fill_dense(dense, kernel, tree)
-    blocks.coupling, blocks.dense = pairs, dense
-    return H2Matrix(
-        octree=tree,
-        kernel=kernel,
-        eps=eps,
-        row_basis=BasisTree(ranks=ranks, tails=tails, mats=basis),
-        blocks=blocks,
-    )
+    _fill_coupling(blocks.coupling, kernel, skel, gmat, ranks)
+    _fill_dense(blocks.dense, kernel, tree)
+    return h2
 
 
 def _vector(x, size, what) -> np.ndarray:
@@ -725,7 +726,7 @@ def coupling(h2: H2Matrix, xhat) -> np.ndarray:
     node j.
     """
     size = int(h2.row_basis.offsets[-1])
-    return h2.blocks.coupling.apply(_vector(xhat, size, "x_hat"), size, both_ways=True)
+    return h2.blocks.coupling.apply(_vector(xhat, size, "x_hat"), both_ways=True)
 
 
 def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
@@ -743,7 +744,7 @@ def downsweep(h2: H2Matrix, yhat) -> np.ndarray:
 
 def dense_apply(h2: H2Matrix, x) -> np.ndarray:
     """Contribution of the dense (inadmissible leaf) blocks."""
-    return _to_original(h2, h2.blocks.dense.apply(_to_sorted(h2, x), h2.n))
+    return _to_original(h2, h2.blocks.dense.apply(_to_sorted(h2, x)))
 
 
 def matvec(h2: H2Matrix, x) -> np.ndarray:

@@ -13,18 +13,19 @@ built from, and the reader rebuilds the tree with :func:`build_tree`
 coincident particles past level 21.  A position that is not finite or
 outside [0, 1)^3, a repeated particle index, a ``leaf_capacity`` that is
 not an integer >= 1, a ``balanced`` that is not a bool, a kernel or
-``eps`` that :func:`compress` would refuse, an ``eta``
-other than ``h2.ETA``, a tail that is not finite or below 0, and a node
-count other than the rebuilt tree's are rejected; so are ranks and block
-ids that do not fit the rebuilt tree, and block pairs not sorted by row
-node.  The basis, coupling and dense data are not scanned;
-``h2fmm matvec`` rejects a product that is not finite.  The basis shape
-groups and the block-row layout of the coupling and dense data are
-rebuilt from the tree, block partition and ranks, which must imply the
-stored data lengths.  A read-back reproduces the matrix bit for bit;
-gather arrays are not stored.  The loaded stores map the file: a save
-over it leaves them intact, but a program that truncates or rewrites it
-in place can change them or raise SIGBUS;
+``eps`` that :func:`compress` would refuse, a tail that is not finite or
+below 0, and a node count other than the rebuilt tree's are rejected; so
+are ranks and block ids that do not fit the rebuilt tree, and block pairs
+not sorted by row node.  The admissibility rule is not stored: an ``eta``
+or ``max_rank`` key from earlier writers is ignored.  The basis, coupling
+and dense data are not scanned; ``h2fmm matvec`` rejects a product that
+is not finite.  This module reads and writes bytes; :func:`h2.assemble`
+builds the matrix, laying out the basis shape groups and the block rows
+of the coupling and dense data from the tree, block partition and ranks,
+which must imply the stored data lengths.  A read-back reproduces the
+matrix bit for bit; gather arrays are not stored.  The loaded stores map
+the file: a save over it leaves them intact, but a program that
+truncates or rewrites it in place can change them or raise SIGBUS;
 ``decode(Path(path).read_bytes())`` takes a private snapshot.
 """
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import ContainerError
 from .geometry import ParticleSet
-from .h2 import ETA, BasisTree, BlockTree, H2Matrix, _storage, check_parameters
+from .h2 import BlockTree, H2Matrix, assemble, check_parameters
 from .kernels import KernelSpec
 from .tree import balance_2to1, build_tree
 
@@ -87,7 +88,6 @@ def save_h2(h2: H2Matrix, path) -> None:
     header = {
         "kernel": dataclasses.asdict(h2.kernel),
         "eps": h2.eps,
-        "eta": ETA,
         "n": tree.n_particles,
         "n_nodes": tree.n_nodes,
         "leaf_capacity": tree.leaf_capacity,
@@ -147,7 +147,7 @@ def decode(buf) -> H2Matrix:
     try:
         header = json.loads(bytes(buf[_PREFIX.size : pos]))
         layout = _layout(header)
-        eps, eta = header["eps"], header["eta"]
+        eps = header["eps"]
         capacity, balanced = header["leaf_capacity"], header["balanced"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ContainerError(f"malformed container header: {exc!r}") from None
@@ -164,7 +164,6 @@ def decode(buf) -> H2Matrix:
     _require(pos == len(buf), f"{len(buf) - pos} trailing bytes after the last array")
     _require(type(capacity) is int, f"leaf_capacity must be an integer, got {capacity!r}")
     _require(type(balanced) is bool, f"balanced must be true or false, got {balanced!r}")
-    _require(eta == ETA, f"eta must be {ETA}, got {eta!r}")
     tails = arrays["tails"]
     _require(np.isfinite(tails).all() and (tails >= 0).all(), "tails must be finite and >= 0")
     try:
@@ -184,20 +183,7 @@ def decode(buf) -> H2Matrix:
         _require((np.diff(arrays[name]) >= 0).all(), f"{name} must be sorted by row node")
     try:
         blocks = BlockTree(*(arrays[name] for name in _BLOCKS))
-        stores = _storage(tree, blocks, ranks)
+        data = tuple(arrays[name] for name in _STORES)
+        return assemble(tree, kernel, eps, blocks, ranks, tails, data)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ContainerError(f"inconsistent container: {exc!r}") from exc
-    for p, name in zip(stores, _STORES):
-        held = arrays[name].size
-        _require(
-            p.data.size == held, f"{name} data holds {held} reals; the tree implies {p.data.size}"
-        )
-        p.data = arrays[name]
-    blocks.coupling, blocks.dense = stores[1:]
-    return H2Matrix(
-        octree=tree,
-        kernel=kernel,
-        eps=eps,
-        row_basis=BasisTree(ranks=ranks, tails=tails, mats=stores[0]),
-        blocks=blocks,
-    )

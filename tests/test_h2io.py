@@ -46,7 +46,8 @@ def test_container_roundtrip_bitwise(small_h2, tmp_path):
     back = load_h2(path)
     assert back.n == small_h2.n
     assert back.kernel == small_h2.kernel
-    assert back.eps == small_h2.eps and _header(path.read_bytes())["eta"] == 1.75
+    assert back.eps == small_h2.eps and "eta" not in _header(path.read_bytes())
+    assert back.summary()["eta"] == 1.75
     assert np.array_equal(back.octree.keys, small_h2.octree.keys)
     assert np.array_equal(back.octree.order, small_h2.octree.order)
     assert np.array_equal(back.row_basis.ranks, small_h2.row_basis.ranks)
@@ -369,10 +370,6 @@ CORRUPT = {
     "eps-0": dict(header=lambda head: {"eps": 0}),
     "eps-1.5": dict(header=lambda head: {"eps": 1.5}),
     "eps-true": dict(header=lambda head: {"eps": True}),
-    "eta-str": dict(header=lambda head: {"eta": "x"}),
-    "eta-negative": dict(header=lambda head: {"eta": -1}),
-    "eta-true": dict(header=lambda head: {"eta": True}),
-    "eta-2": dict(header=lambda head: {"eta": 2.0}),
     "laplace-delta-0": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=0.0)}),
     "delta-true": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization=True)}),
     "delta-str": dict(header=lambda head: {"kernel": dict(head["kernel"], regularization="0.01")}),
@@ -413,6 +410,51 @@ def test_header_max_rank_key_ignored(tiny_container, value):
     new = decode(bytearray(tiny_container))
     x = np.random.default_rng(0).standard_normal(new.n)
     assert np.array_equal(matvec(old, x), matvec(new, x))
+
+
+@pytest.mark.parametrize("value", [1.75, 2.0, "x", None])
+def test_header_eta_key_ignored(tiny_container, value):
+    # Earlier writers stored the admissibility parameter under "eta" (1.75 in
+    # every such file); the rule is h2's, the key is ignored, the product unchanged.
+    old = decode(bytearray(_rewrite(tiny_container, header=lambda head: {"eta": value})))
+    new = decode(bytearray(tiny_container))
+    x = np.random.default_rng(0).standard_normal(new.n)
+    assert np.array_equal(matvec(old, x), matvec(new, x))
+
+
+def _last_upper_pair_and_mirror(rows, cols):
+    t = np.flatnonzero(rows < cols)[-1]
+    return [t, np.flatnonzero((rows == cols[t]) & (cols == rows[t]))[0]]
+
+
+def _first_off_diagonal_pair(rows, cols):
+    return [np.flatnonzero(rows != cols)[0]]
+
+
+# A block partition short of pairs whose stored data remains: (arrays' prefix,
+# header count, the pairs to drop, the error).
+SHORT_PARTITION = {
+    "coupling": (
+        "lr", "n_lowrank", _last_upper_pair_and_mirror, "coupling data holds 452 reals; the tree implies 450"
+    ),
+    "dense": ("dense", "n_dense", _first_off_diagonal_pair, "dense data holds 1400 reals; the tree implies 1388"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_PARTITION))
+def test_store_length_other_than_the_partition_implies_rejected(tiny_container, tmp_path, capsys, case):
+    prefix, count, pick, message = SHORT_PARTITION[case]
+    m = decode(bytearray(tiny_container))
+    drop = pick(getattr(m.blocks, prefix + "_row"), getattr(m.blocks, prefix + "_col"))
+    edit = {prefix + side: lambda a: np.delete(a, drop) for side in ("_row", "_col")}
+    raw = _rewrite(tiny_container, header=lambda head: {count: head[count] - len(drop)}, **edit)
+    with pytest.raises(ContainerError, match=message):
+        decode(bytearray(raw))
+    path = tmp_path / "short.h2"
+    path.write_bytes(raw)
+    assert main(["matvec", "--matrix", str(path), "--summary", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT))
