@@ -17,17 +17,21 @@ Bases are built bottom-up over skeleton points.  A node's rows are its
 particles at a leaf, or its children's skeleton points; its columns are
 a fixed surrogate of its far field: 128 proxy points on each shell at
 PROXY_SHELLS x rho around the node centre (rho = PROXY_RADIUS node
-half-widths, points outside the root box dropped), plus the particles of
-the far boxes that come within rho.  Each octant of a shell and each
+half-widths, points outside the root box left out), plus the particles
+of the far boxes that come within rho.  Each octant of a shell and each
 box is one column group, scaled to unit Frobenius norm after the
 children's reduction, and the truncated SVD of the reduced rows gives
 the leaf basis or the transfer matrices with the smallest rank that
-leaves every group within eps.  The node then keeps rank + 2 of its
-rows as skeletons, picked by pivoted Gram-Schmidt, and a small map G
-with U^T K(node, far) ~ G K(skeletons, far).  A parent reduces its rows
-with its children's G, and each coupling block is
-S_ij = G_i K(s_i, s_j) G_j^T, so the n_i x n_j kernel block of an
-admissible pair is never formed.
+leaves every group within eps; a group with no energy needs nothing.
+The leaves of a level whose columns are the proxies alone are factored
+together, one stack per particle count, over the proxy layout the
+level's nodes share, the points outside the root box entering as zero
+columns.  The node then keeps rank + 2 of its rows as skeletons, picked
+by pivoted Gram-Schmidt, and a small map G with
+U^T K(node, far) ~ G K(skeletons, far), which is U^T at a leaf whose
+rows are all skeletons.  A parent reduces its rows with its children's
+G, and each coupling block is S_ij = G_i K(s_i, s_j) G_j^T, so the
+n_i x n_j kernel block of an admissible pair is never formed.
 
 rho = 3 is the smallest radius that leaves every same-level admissible
 box outside: such a box does not touch the node, so its near face is at
@@ -402,41 +406,41 @@ def _kernel_rows(kernel, row_points, col_points):
     return out
 
 
-def _left_singular(R):
-    """Left singular vectors and values of R without forming V.
-
-    For wide R the QR factorization of R^T reduces the SVD to a small
-    square problem with the same left factors and values.
-    """
-    n, m = R.shape
-    if m <= n:
-        u, s, _ = np.linalg.svd(R, full_matrices=False)
-        return u, s
-    t = np.linalg.qr(R.T, mode="r")  # R = t.T @ Q.T
-    u, s, _ = np.linalg.svd(t.T, full_matrices=False)
-    return u, s
+def _scale_groups(r, bounds):
+    """Scale each column group (delimited by ``bounds``) of each matrix of
+    the stack r to unit Frobenius norm, in place; a zero group stays zero.
+    Returns the column scales."""
+    norms = np.sqrt(np.add.reduceat(np.einsum("...ij,...ij->...j", r, r), bounds[:-1], axis=-1))
+    norms[norms == 0.0] = 1.0
+    scale = np.repeat(1.0 / norms, np.diff(bounds), axis=-1)
+    r *= scale[..., None, :]
+    return scale
 
 
 def _truncate(scaled, eps, bounds):
-    """Basis of the scaled far row; rank from the per-block tail criterion.
+    """Bases of a stack of scaled far rows; ranks from the per-block tail criterion.
 
-    The rank is the smallest r whose projection leaves every unit-norm
+    Item b's rank is the smallest r whose projection leaves every unit-norm
     sub-block (delimited by ``bounds``) with relative Frobenius residual
-    at most eps, which is exactly the per-block compression contract.
-    Returns the r basis vectors, the row's coordinates in them
-    (``u_r^T scaled``) and the largest block tail left.
+    at most eps, which is exactly the per-block compression contract; a
+    sub-block with no energy needs nothing.  Returns per item the rank,
+    the left singular vectors, the rows' coordinates in them
+    (``u^T scaled``) and the largest block tail left; item b's basis is
+    ``u[b, :, :ranks[b]]``.
     """
-    u, _ = _left_singular(scaled)
-    proj = u.T @ scaled
-    blk = np.add.reduceat(proj * proj, bounds[:-1], axis=1)  # (k_full, n_blocks) energy
-    total = blk.sum(axis=0)
-    total[total == 0.0] = 1.0
-    resid = total[None, :] - np.cumsum(blk, axis=0)
-    np.maximum(resid, 0.0, out=resid)
-    ok = (resid <= eps * eps * total[None, :]).all(axis=1)
-    r = int(np.argmax(ok)) + 1 if ok.any() else u.shape[1]
-    tail = math.sqrt(float((resid[r - 1] / total).max())) if r >= 1 else 1.0
-    return u[:, :r], proj[:r], tail
+    t = scaled
+    if t.shape[-1] > t.shape[-2]:  # wide R = t^T Q^T, and the square t^T has R's left singular pairs
+        t = np.swapaxes(np.linalg.qr(np.swapaxes(t, -1, -2), mode="r"), -1, -2)
+    u = np.linalg.svd(t, full_matrices=False)[0]
+    proj = np.swapaxes(u, -1, -2) @ scaled
+    blk = np.add.reduceat(proj * proj, bounds[:-1], axis=2)  # (B, k_full, n_blocks) energy
+    total = blk.sum(axis=1, keepdims=True)
+    resid = np.maximum(total - np.cumsum(blk, axis=1), 0.0)
+    ok = (resid <= eps * eps * total).all(axis=2)
+    ranks = np.where(ok.any(axis=1), ok.argmax(axis=1) + 1, u.shape[2])
+    left = resid[np.arange(len(ranks)), ranks - 1]
+    frac = np.divide(left, total[:, 0], out=np.zeros_like(left), where=total[:, 0] > 0.0)
+    return ranks, u, proj, np.sqrt(frac.max(axis=1))
 
 
 def _sphere_by_octant(n):
@@ -456,28 +460,25 @@ PROXY_RADIUS = 3.0  # node half-widths; far boxes nearer than this stay explicit
 PROXY_SHELLS = (1.0, 1.4, 2.0, 3.0, 5.0)  # proxy shell radii, in units of PROXY_RADIUS
 PROXY_KINDS = ("laplace3d", "one")  # kernels whose far field the proxies stand for
 _PROXY_SPHERE, _PROXY_OCTANTS = _sphere_by_octant(128)
+# Column groups of the proxy layout: one octant of one shell each, shell by shell.
+_PROXY_BOUNDS = np.append(
+    (len(_PROXY_SPHERE) * np.arange(len(PROXY_SHELLS))[:, None] + _PROXY_OCTANTS).ravel(),
+    len(_PROXY_SPHERE) * len(PROXY_SHELLS),
+)
 
 
-def _proxies(anchors, sizes, radius):
-    """Per node of one level, in order: its proxy points inside the root
-    box, and their count per group; none at radius inf.
+def _proxy_layout(anchors, sizes):
+    """Proxy points of nodes of one level, (nodes, 640, 3), and which of
+    them lie inside the root box.
 
-    Every node of a level has the same points about its centre, placed
-    for a chunk of nodes at a time.  A group is one octant of one shell,
-    so a far field that lies in a few directions is still held to eps.
+    Every node of a level has the same points about its centre, grouped
+    by ``_PROXY_BOUNDS``, so a far field that lies in a few directions is
+    still held to eps.
     """
-    if radius == math.inf:
-        yield from [(np.empty((0, 3)), np.zeros(0, dtype=np.int64))] * len(anchors)
-        return
-    scale = np.array(PROXY_SHELLS)[:, None, None] * (radius * sizes[0] / 2 / 2.0**MAX_LEVEL)
-    offsets = scale * _PROXY_SPHERE
-    step = _CHUNK_ELEMENTS // offsets.size
-    for s in range(0, len(anchors), step):
-        centres = (anchors[s : s + step] + sizes[s : s + step, None] / 2) / 2.0**MAX_LEVEL
-        pts = centres[:, None, None] + offsets
-        inside = ((pts >= 0.0) & (pts <= 1.0)).all(axis=3)
-        groups = np.add.reduceat(inside, _PROXY_OCTANTS, axis=2).reshape(len(pts), -1)
-        yield from ((p[m], g[g > 0]) for p, m, g in zip(pts, inside, groups))
+    scale = np.array(PROXY_SHELLS)[:, None, None] * (PROXY_RADIUS * sizes[0] / 2 / 2.0**MAX_LEVEL)
+    offsets = (scale * _PROXY_SPHERE).reshape(-1, 3)
+    pts = ((anchors + sizes[:, None] / 2) / 2.0**MAX_LEVEL)[:, None] + offsets
+    return pts, ((pts >= 0.0) & (pts <= 1.0)).all(axis=2)
 
 
 def _pivoted_rows(b, k):
@@ -502,9 +503,11 @@ def _build_basis(tree: Octree, kernel, eps, blocks: BlockTree):
     """Bottom-up nested basis over skeleton points.
 
     A node's rows are its particles (a leaf) or its children's skeleton
-    points; its columns are a fixed surrogate of its far field.  Returns
-    ranks, tails, per-node basis or transfer matrices, and per node the
-    skeleton points s and the map G with U^T K(node, far) ~ G K(s, far).
+    points; its columns are a fixed surrogate of its far field.  Leaves
+    whose columns are the proxies alone are factored in stacks, one per
+    level and particle count.  Returns ranks, tails, per-node basis or
+    transfer matrices, and per node the skeleton points s and the map G
+    with U^T K(node, far) ~ G K(s, far).
     """
     radius = PROXY_RADIUS if kernel.kind in PROXY_KINDS else math.inf
     ptr, boxes = _far_boxes(tree, blocks, radius)
@@ -513,29 +516,64 @@ def _build_basis(tree: Octree, kernel, eps, blocks: BlockTree):
     for level in range(1, tree.depth + 1):
         nodes = tree.level_nodes(level)
         has_far[nodes] |= has_far[tree.parents[nodes]]
+    stacked = tree.is_leaf & has_far & (np.diff(ptr) == 0) & (radius < math.inf)
     anchors, sizes = node_boxes(tree)
     n_nodes = tree.n_nodes
     ranks = np.zeros(n_nodes, dtype=np.int32)
     tails = np.zeros(n_nodes, dtype=np.float64)
     mats, skel, gmat = [None] * n_nodes, [None] * n_nodes, [None] * n_nodes
     pos, starts, counts = tree.particles.positions, tree.starts, tree.counts
+
+    def finish(node, rows, u, proj, a=None, scale=None):
+        # proj = sigma_r V_r^T, V_r the leading right singular vectors of the
+        # scaled rows.  Skeletons: rank + 2 rows of a V_r (U_r sigma_r at a
+        # leaf, given no a); G solves G (a V_r / sigma_r)[skeletons] = I,
+        # which is U_r^T at a leaf whose rows are all skeletons.
+        mats[node] = u
+        ranks[node] = rank = u.shape[1]
+        if a is None and rank + 2 >= len(rows):
+            skel[node], gmat[node] = rows, u.T
+            return
+        sigma = np.sqrt(np.einsum("ij,ij->i", proj, proj))
+        sigma[sigma == 0.0] = 1.0
+        av = u * sigma if a is None else a @ (proj * scale).T / sigma
+        pick = _pivoted_rows(av, rank + 2)
+        skel[node] = rows[pick]
+        gmat[node] = np.linalg.pinv(av[pick] / sigma)
+
     for level in range(tree.depth, -1, -1):
         level_nodes = tree.level_nodes(level)
-        level_proxies = _proxies(anchors[level_nodes], sizes[level_nodes], radius)
-        for node, (cols, widths) in zip(level_nodes.tolist(), level_proxies):
+        for node in level_nodes[~has_far[level_nodes]].tolist():
+            kids = tree.children(node)
+            mats[node] = np.zeros((int(ranks[kids].sum()) if len(kids) else int(counts[node]), 0))
+            skel[node], gmat[node] = np.empty((0, 3)), np.zeros((0, 0))
+        leaves = level_nodes[stacked[level_nodes]]
+        perm, cut = _group(counts[leaves][:, None])
+        for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
+            n = int(counts[leaves[perm[lo]]])
+            step = max(1, _CHUNK_ELEMENTS // (n * int(_PROXY_BOUNDS[-1])))
+            for chunk in (leaves[perm[s : min(s + step, hi)]] for s in range(lo, hi, step)):
+                rows = pos[_spans(starts[chunk], n)]
+                cols, inside = _proxy_layout(anchors[chunk], sizes[chunk])
+                a = kernel_block(kernel, rows, cols)
+                a *= inside[:, None, :]
+                _scale_groups(a, _PROXY_BOUNDS)
+                rk, u, proj, tails[chunk] = _truncate(a, eps, _PROXY_BOUNDS)
+                for b, (node, r) in enumerate(zip(chunk.tolist(), rk.tolist())):
+                    finish(node, rows[b], u[b, :, :r], proj[b, :r])
+        for node in level_nodes[has_far[level_nodes] & ~stacked[level_nodes]].tolist():
             kids = tree.children(node).tolist()
             if tree.is_leaf[node]:
                 rows = pos[starts[node] : starts[node] + counts[node]]
             else:
                 rows = np.concatenate([skel[c] for c in kids])
-            if not has_far[node]:
-                mats[node] = np.zeros((int(ranks[kids].sum()) if kids else len(rows), 0))
-                skel[node], gmat[node] = rows[:0], np.zeros((0, 0))
-                continue
             far = boxes[ptr[node] : ptr[node + 1]]
-            if len(far):  # the explicit boxes' particles, then the proxies
-                cols = np.concatenate([pos[_ranges_concat(starts[far], counts[far])], cols])
-                widths = np.concatenate([counts[far], widths])
+            cols, widths = pos[_ranges_concat(starts[far], counts[far])], counts[far]
+            if radius < math.inf:  # the explicit boxes' particles, then the proxies
+                pts, inside = _proxy_layout(anchors[node : node + 1], sizes[node : node + 1])
+                groups = np.add.reduceat(inside[0], _PROXY_BOUNDS[:-1])
+                cols = np.concatenate([cols, pts[0][inside[0]]])
+                widths = np.concatenate([widths, groups[groups > 0]])
             # a = K(rows, surrogate); r = a reduced by the children's G
             a = _kernel_rows(kernel, rows, cols)
             r = a
@@ -543,21 +581,10 @@ def _build_basis(tree: Octree, kernel, eps, blocks: BlockTree):
                 cut = np.cumsum([0] + [len(skel[c]) for c in kids])
                 r = np.vstack([gmat[c] @ a[lo:hi] for c, lo, hi in zip(kids, cut, cut[1:])])
             bounds = np.concatenate([[0], np.cumsum(widths)])
-            norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", r, r), bounds[:-1]))
-            norms[norms == 0.0] = 1.0
-            scale = np.repeat(1.0 / norms, widths)
-            r *= scale
-            mats[node], proj, tails[node] = _truncate(r, eps, bounds)
-            ranks[node] = rank = mats[node].shape[1]
-            # proj = sigma_r V_r^T, V_r the leading right singular vectors of r.
-            # Skeletons: rank + 2 rows of a V_r (U_r sigma_r at a leaf, where a
-            # is r); G solves G (a V_r / sigma_r)[skeletons] = I.
-            sigma = np.sqrt(np.einsum("ij,ij->i", proj, proj))
-            sigma[sigma == 0.0] = 1.0
-            av = a @ (proj * scale).T / sigma if kids else mats[node] * sigma
-            pick = _pivoted_rows(av, rank + 2)
-            skel[node] = rows[pick]
-            gmat[node] = np.linalg.pinv(av[pick] / sigma)
+            scale = _scale_groups(r[None], bounds)[0]
+            rk, u, proj, tails[node : node + 1] = _truncate(r[None], eps, bounds)
+            k = int(rk[0])
+            finish(node, rows, u[0, :, :k], proj[0, :k], a if kids else None, scale)
     return ranks, tails, mats, skel, gmat
 
 

@@ -15,9 +15,10 @@ outside [0, 1)^3, a repeated particle index, a ``leaf_capacity`` that is
 not an integer >= 1, a ``balanced`` that is not a bool, a kernel or
 ``eps`` that :func:`compress` would refuse, a tail that is not finite or
 below 0, and a node count other than the rebuilt tree's are rejected; so
-are ranks and block ids that do not fit the rebuilt tree, and block pairs
-not sorted by row node.  The admissibility rule is not stored: an ``eta``
-or ``max_rank`` key from earlier writers is ignored.  The basis, coupling
+are ranks and block ids that do not fit the rebuilt tree, block pairs
+not sorted by row node, and a low-rank pair whose mirror is missing.
+The admissibility rule is not stored: an ``eta`` or ``max_rank`` key
+from earlier writers is ignored.  The basis, coupling
 and dense data are not scanned; ``h2fmm matvec`` rejects a product that
 is not finite.  This module reads and writes bytes; :func:`h2.assemble`
 builds the matrix, laying out the basis shape groups and the block rows
@@ -181,6 +182,9 @@ def decode(buf) -> H2Matrix:
     _require(((ids >= 0) & (ids < nodes)).all(), "block node ids out of range")
     for name in ("lr_row", "dense_row"):
         _require((np.diff(arrays[name]) >= 0).all(), f"{name} must be sorted by row node")
+    rows, cols = arrays["lr_row"], arrays["lr_col"]
+    pairs, mirrors = np.sort(rows * nodes + cols), np.sort(cols * nodes + rows)
+    _require(np.array_equal(pairs, mirrors), "the low-rank pairs must be symmetric: each (i, j) needs its (j, i)")
     try:
         blocks = BlockTree(*(arrays[name] for name in _BLOCKS))
         data = tuple(arrays[name] for name in _STORES)

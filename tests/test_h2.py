@@ -23,7 +23,7 @@ from h2fmm.h2 import (
 from h2fmm.h2io import load_h2, save_h2
 from h2fmm.kernels import KernelSpec, kernel_block
 from h2fmm.morton import MAX_LEVEL
-from h2fmm.tree import _ranges_concat, balance_2to1, build_tree
+from h2fmm.tree import _ranges_concat, balance_2to1, build_tree, node_boxes
 from h2_views import (
     block_apply,
     explicit_bases,
@@ -652,6 +652,74 @@ def test_compress_bitwise_deterministic(tree512):
     assert np.array_equal(a.row_basis.mats.data, b.row_basis.mats.data)
     assert np.array_equal(a.blocks.coupling.data, b.blocks.coupling.data)
     assert np.array_equal(a.blocks.dense.data, b.blocks.dense.data)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_leaf_stack_matches_single_items(eps):
+    # The leaves of one level and particle count, truncated as one stack over
+    # the whole proxy layout (points outside the root box as zero columns),
+    # and one at a time over their in-box points alone, empty groups dropped.
+    # The stack holds the corner leaf: every shell of it is cut by the box,
+    # and its outer shell lies wholly outside (five zero groups).
+    t = build_tree(generate(DistributionSpec("random-cube", 4096, seed=2)), 64)
+    anchors, sizes = node_boxes(t)
+    corner = int(np.flatnonzero(t.is_leaf & (anchors == 0).all(axis=1))[0])
+    nodes = t.level_nodes(int(t.levels[corner]))
+    nodes = nodes[t.is_leaf[nodes] & (t.counts[nodes] == t.counts[corner])]
+    rows = t.particles.positions[t.starts[nodes][:, None] + np.arange(t.counts[corner])]
+    pts, inside = h2_module._proxy_layout(anchors[nodes], sizes[nodes])
+    shells = inside[nodes == corner][0].reshape(len(h2_module.PROXY_SHELLS), -1).sum(axis=1)
+    assert len(nodes) > 1 and (shells < 128).all() and shells[-1] == 0 < shells[0]
+    bounds = h2_module._PROXY_BOUNDS
+    stack = kernel_block(LAPLACE, rows, pts) * inside[:, None, :]
+    h2_module._scale_groups(stack, bounds)
+    ranks, u, _, tails = h2_module._truncate(stack, eps, bounds)
+    assert (ranks < t.counts[corner]).any()
+    for b in range(len(nodes)):
+        groups = np.add.reduceat(inside[b], bounds[:-1])
+        own = np.concatenate([[0], np.cumsum(groups[groups > 0])])
+        one = kernel_block(LAPLACE, rows[b], pts[b][inside[b]])[None]
+        h2_module._scale_groups(one, own)
+        rank, v, _, tail = h2_module._truncate(one, eps, own)
+        r = ranks[b]
+        assert rank.tolist() == [r]
+        assert abs(tail[0] - tails[b]) <= 1e-9  # measured: 6e-11 at eps 1e-6
+        signs = np.sign((u[b, :, :r] * v[0, :, :r]).sum(axis=0))
+        assert np.abs(u[b, :, :r] * signs - v[0, :, :r]).max() <= 1e-8  # measured: 2.3e-11
+
+
+@pytest.mark.parametrize("kernel", [LAPLACE, KernelSpec("gaussian", sigma=0.3)])
+def test_leaf_whose_rows_are_all_skeletons_has_g_u_transposed(tree512, kernel):
+    # pinv of a matrix with orthonormal columns is its transpose, so such a
+    # leaf's G is U^T exactly: stacked (laplace3d) or alone (gaussian, rho = inf).
+    ranks, _, mats, skel, gmat = h2_module._build_basis(tree512, kernel, 1e-6, build_block_tree(tree512))
+    full = [n for n in np.flatnonzero(tree512.is_leaf & (ranks > 0)).tolist() if len(skel[n]) == tree512.counts[n]]
+    assert full
+    for n in full:
+        assert np.array_equal(skel[n], tree512.particles.positions[tree512.starts[n] : tree512.starts[n] + len(skel[n])])
+        assert np.array_equal(gmat[n], mats[n].T)
+        assert np.allclose(gmat[n], np.linalg.pinv(mats[n]), rtol=0, atol=1e-12)
+
+
+def test_underflowing_far_groups_need_no_rank():
+    # At sigma 0.01 most far blocks of a gaussian are exactly 0.  A group with
+    # no energy needs nothing, so the leaves keep far fewer than all their
+    # rows, no node is flagged, and every low-rank block is rebuilt within
+    # 10 eps (the zero ones as exact zeros).
+    t = build_tree(generate(DistributionSpec("random-cube", 1024, seed=1)), 16)
+    kernel, eps = KernelSpec("gaussian", sigma=0.01), 1e-6
+    m = compress(t, kernel, eps=eps)
+    leaves = np.flatnonzero(t.is_leaf & (m.row_basis.ranks > 0))
+    assert m.row_basis.ranks[leaves].sum() < t.counts[leaves].sum() / 2
+    assert m.flagged_nodes() == []
+    a = kernel_block(kernel, t.particles.positions, t.particles.positions)
+    bases = explicit_bases(t, m.row_basis)
+    zero = 0
+    for i, j, s in lowrank_blocks(m):
+        blk = a[t.starts[i] : t.starts[i] + t.counts[i], t.starts[j] : t.starts[j] + t.counts[j]]
+        assert np.linalg.norm(bases[i] @ s @ bases[j].T - blk) <= 10 * eps * np.linalg.norm(blk)
+        zero += not blk.any()
+    assert zero > 0
 
 
 @pytest.mark.parametrize("kernel", [LAPLACE, KernelSpec("gaussian", sigma=0.3)])

@@ -380,6 +380,11 @@ CORRUPT = {
     "negative-tail": dict(tails=_set(1, -1.0)),
     "lr-unsorted": dict(lr_row=np.flip, lr_col=np.flip),
     "dense-unsorted": dict(dense_row=np.flip, dense_col=np.flip),
+    # The last pair (i, j) has i > j, so only its mirror is stored as coupling
+    # data: the store's length still fits, the partition does not.
+    "lr-mirror-missing": dict(
+        header=lambda head: {"n_lowrank": head["n_lowrank"] - 1}, lr_row=lambda a: a[:-1], lr_col=lambda a: a[:-1]
+    ),
 }
 
 
