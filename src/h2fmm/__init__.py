@@ -34,7 +34,6 @@ from .tree import (
     neighbor_counts,
 )
 from .h2 import (
-    ETA,
     H2Matrix,
     build_block_tree,
     compress,

@@ -17,42 +17,43 @@ Bases are built bottom-up over skeleton points.  A node's rows are its
 particles at a leaf, or its children's skeleton points; its columns are
 a fixed surrogate of its far field: 128 proxy points on each shell at
 PROXY_SHELLS x rho around the node centre (rho = PROXY_RADIUS node
-half-widths, points outside the root box left out), plus the particles
-of the far boxes that come within rho.  Each octant of a shell and each
-box is one column group, scaled to unit Frobenius norm after the
+half-widths, points outside the root box left out).  Each octant of a
+shell is one column group, scaled to unit Frobenius norm after the
 children's reduction, and the truncated SVD of the reduced rows gives
 the leaf basis or the transfer matrices with the smallest rank that
 leaves every group within eps; a group with no energy needs nothing.
-The leaves of a level whose columns are the proxies alone are factored
-together, one stack per particle count, over the proxy layout the
-level's nodes share, the points outside the root box entering as zero
-columns.  The node then keeps rank + 2 of its rows as skeletons, picked
-by pivoted Gram-Schmidt, and a small map G with
-U^T K(node, far) ~ G K(skeletons, far), which is U^T at a leaf whose
-rows are all skeletons.  A parent reduces its rows with its children's
-G, and each coupling block is S_ij = G_i K(s_i, s_j) G_j^T, so the
-n_i x n_j kernel block of an admissible pair is never formed.
+Under proxies, the leaves of a level are factored together, one stack
+per particle count, over the proxy layout the level's nodes share, the
+points outside the root box entering as zero columns.  The node then
+keeps rank + 2 of its rows as skeletons, picked by pivoted Gram-Schmidt,
+and a small map G with U^T K(node, far) ~ G K(skeletons, far), which is
+U^T at a leaf whose rows are all skeletons.  A parent reduces its rows
+with its children's G, and each coupling block is
+S_ij = G_i K(s_i, s_j) G_j^T, so the n_i x n_j kernel block of an
+admissible pair is never formed.
 
-rho = 3 is the smallest radius that leaves every same-level admissible
-box outside: such a box does not touch the node, so its near face is at
-least 3 half-widths from the node's centre.  Coarser boxes and an
-ancestor's partners lie further out, so only a box at least seven
-levels finer than the leaf it partners can still be explicit, and the
-surrogate is in practice the proxies alone, like the check surface of
-the kernel-independent FMM (Ying, Biros and Zorin, 2004).  128 is the
-smallest power of two of points per shell that holds the per-block
-contract on the test fixtures down to eps 1e-10.  The price is rank:
-against rho = 5 with 64 points, the stored bases and blocks of a random
-cube at N = 8192 and eps 1e-6 grow from 119 to 143 MiB.
+A block is admissible when its boxes lie at least the larger box's
+width apart (Carrier, Greengard and Rokhlin, 1988), so rho = 3 leaves
+the whole far field outside the innermost shell and the surrogate is
+the proxies alone, like the check surface of the kernel-independent
+FMM (Ying, Biros and Zorin, 2004).  A partner of a node of width s lies
+at least s from its box, so at least s + s / 2 = rho from its centre.
+A partner of the ancestor k >= 1 levels up lies at least 2^k s from
+that ancestor, which holds the node, so at least 2 s from the node.
+128 is the smallest power of two of points per shell that holds the
+per-block contract on the test fixtures down to eps 1e-10.  The price is
+rank: against rho = 5 with 64 points, the stored bases and blocks of a
+random cube at N = 8192 and eps 1e-6 grow from 119 to 143 MiB.
 
 Proxies stand for the far field of ``laplace3d`` and ``one``.  On a
 random cube of 2048 points they left up to 42 eps (``gaussian``, sigma
 0.1) and 3.7 eps (``laplace2d``) on a block of the exact far field, past
 the 3 eps the basis must meet, so those two kernels use rho = inf:
-their columns are the whole exact far field and their basis cost stays
-quadratic.  The achieved ``tails`` (and so ``flagged_nodes``) measure
-the truncation against the surrogate.  The container stores only the
-bases and blocks, so its format does not depend on how they were built.
+their columns are the whole exact far field, one group per box, and
+their basis cost stays quadratic.  The achieved ``tails`` (and so
+``flagged_nodes``) measure the truncation against the surrogate.  The
+container stores only the bases and blocks, so its format does not
+depend on how they were built.
 """
 from __future__ import annotations
 
@@ -67,25 +68,15 @@ from .kernels import KernelSpec, _real, kernel_block
 from .morton import MAX_LEVEL
 from .tree import Octree, _ranges_concat, node_boxes
 
-ETA = 1.75  # same-level cells are admissible iff they do not touch, as in the FMM
-
 _CHUNK_ELEMENTS = 2**20  # cap on the entries of one batched temporary
 
 
-def _box_gap2(lo_a, sa, lo_b, sb):
-    """Squared distance between the closed boxes lo + [0, s]^3, row by row."""
-    gap = np.maximum(0, np.maximum(lo_a - (lo_b + sb[..., None]), lo_b - (lo_a + sa[..., None])))
-    return (gap * gap).sum(axis=-1).astype(np.float64)
-
-
 def _admissible(lo_a, sa, lo_b, sb):
-    """Row by row: max(diam)^2 <= ETA^2 * dist^2 for the boxes lo + [0, s]^3.
-
-    Boxes are closed, so touching cells are never admissible, and
-    same-level cells a full cell width apart are.
-    """
-    diam2 = 3.0 * np.maximum(sa, sb).astype(np.float64) ** 2
-    return diam2 <= ETA * ETA * _box_gap2(lo_a, sa, lo_b, sb)
+    """Row by row: the closed boxes lo + [0, s]^3 lie at least the larger
+    box's width apart, exact in int64; same-level cells are admissible
+    exactly when they do not touch, as in the FMM."""
+    gap = np.maximum(0, np.maximum(lo_a - (lo_b + sb[..., None]), lo_b - (lo_a + sa[..., None])))
+    return np.maximum(sa, sb) ** 2 <= (gap * gap).sum(axis=-1)
 
 
 def _group(keys):
@@ -346,7 +337,6 @@ class H2Matrix:
             "n": self.n,
             "kernel": self.kernel.kind,
             "eps": self.eps,
-            "eta": ETA,
             "lowrank_blocks": self.blocks.n_lowrank,
             "dense_blocks": self.blocks.n_dense,
             "max_rank_achieved": int(ranks.max()) if len(ranks) else 0,
@@ -359,36 +349,22 @@ class H2Matrix:
         }
 
 
-def _far_boxes(tree: Octree, blocks: BlockTree, radius=math.inf):
+def _far_boxes(tree: Octree, blocks: BlockTree):
     """Per node: the low-rank partners of the node and of its ancestors.
 
-    With a finite ``radius`` (in node half-widths) only the boxes that
-    come closer than that to the node's centre are kept.  The partners of
-    the ancestor k levels up lie at least sqrt(3) * 2^k / ETA node widths
-    away, so ancestors past the radius are skipped.  Returns
-    ``(ptr, boxes)``: node n's boxes are ``boxes[ptr[n]:ptr[n + 1]]``, in
-    increasing id order.
+    Returns ``(ptr, boxes)``: node n's boxes are
+    ``boxes[ptr[n]:ptr[n + 1]]``, in increasing id order.
     """
-    anchors, sizes = node_boxes(tree)
     own = np.searchsorted(blocks.lr_row, np.arange(tree.n_nodes + 1))
     nodes = anc = np.arange(tree.n_nodes)
     found_i, found_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    k = 0
-    while len(nodes) and math.sqrt(3.0) * 2**k / ETA < radius / 2:
+    while len(nodes):
         deg = own[anc + 1] - own[anc]
         has = deg > 0
-        i = np.repeat(nodes[has], deg[has])
-        j = blocks.lr_col[_ranges_concat(own[anc[has]], deg[has])]
-        if radius < math.inf:
-            centre = anchors[i] + sizes[i, None] / 2
-            gap2 = _box_gap2(centre, np.zeros_like(sizes[i]), anchors[j], sizes[j])
-            near = gap2 < (radius * sizes[i] / 2) ** 2
-            i, j = i[near], j[near]
-        found_i.append(i)
-        found_j.append(j)
+        found_i.append(np.repeat(nodes[has], deg[has]))
+        found_j.append(blocks.lr_col[_ranges_concat(own[anc[has]], deg[has])])
         up = tree.parents[anc] >= 0
         nodes, anc = nodes[up], tree.parents[anc[up]]
-        k += 1
     i, j = np.concatenate(found_i), np.concatenate(found_j)
     order = np.lexsort((j, i))
     return np.searchsorted(i[order], np.arange(tree.n_nodes + 1)), j[order]
@@ -456,7 +432,7 @@ def _sphere_by_octant(n):
     return points[order], np.searchsorted(octant[order], np.arange(8))
 
 
-PROXY_RADIUS = 3.0  # node half-widths; far boxes nearer than this stay explicit
+PROXY_RADIUS = 3.0  # node half-widths; no admissible box comes nearer
 PROXY_SHELLS = (1.0, 1.4, 2.0, 3.0, 5.0)  # proxy shell radii, in units of PROXY_RADIUS
 PROXY_KINDS = ("laplace3d", "one")  # kernels whose far field the proxies stand for
 _PROXY_SPHERE, _PROXY_OCTANTS = _sphere_by_octant(128)
@@ -503,20 +479,21 @@ def _build_basis(tree: Octree, kernel, eps, blocks: BlockTree):
     """Bottom-up nested basis over skeleton points.
 
     A node's rows are its particles (a leaf) or its children's skeleton
-    points; its columns are a fixed surrogate of its far field.  Leaves
-    whose columns are the proxies alone are factored in stacks, one per
-    level and particle count.  Returns ranks, tails, per-node basis or
-    transfer matrices, and per node the skeleton points s and the map G
-    with U^T K(node, far) ~ G K(s, far).
+    points; its columns are a fixed surrogate of its far field.  Under a
+    proxy kernel the leaves are factored in stacks, one per level and
+    particle count.  Returns ranks, tails, per-node basis or transfer
+    matrices, and per node the skeleton points s and the map G with
+    U^T K(node, far) ~ G K(s, far).
     """
-    radius = PROXY_RADIUS if kernel.kind in PROXY_KINDS else math.inf
-    ptr, boxes = _far_boxes(tree, blocks, radius)
+    proxy = kernel.kind in PROXY_KINDS
+    if not proxy:
+        ptr, boxes = _far_boxes(tree, blocks)
     has_far = np.zeros(tree.n_nodes, dtype=bool)
     has_far[blocks.lr_row] = True
     for level in range(1, tree.depth + 1):
         nodes = tree.level_nodes(level)
         has_far[nodes] |= has_far[tree.parents[nodes]]
-    stacked = tree.is_leaf & has_far & (np.diff(ptr) == 0) & (radius < math.inf)
+    stacked = tree.is_leaf & has_far & proxy
     anchors, sizes = node_boxes(tree)
     n_nodes = tree.n_nodes
     ranks = np.zeros(n_nodes, dtype=np.int32)
@@ -567,13 +544,13 @@ def _build_basis(tree: Octree, kernel, eps, blocks: BlockTree):
                 rows = pos[starts[node] : starts[node] + counts[node]]
             else:
                 rows = np.concatenate([skel[c] for c in kids])
-            far = boxes[ptr[node] : ptr[node + 1]]
-            cols, widths = pos[_ranges_concat(starts[far], counts[far])], counts[far]
-            if radius < math.inf:  # the explicit boxes' particles, then the proxies
+            if proxy:
                 pts, inside = _proxy_layout(anchors[node : node + 1], sizes[node : node + 1])
                 groups = np.add.reduceat(inside[0], _PROXY_BOUNDS[:-1])
-                cols = np.concatenate([cols, pts[0][inside[0]]])
-                widths = np.concatenate([widths, groups[groups > 0]])
+                cols, widths = pts[0][inside[0]], groups[groups > 0]
+            else:
+                far = boxes[ptr[node] : ptr[node + 1]]
+                cols, widths = pos[_ranges_concat(starts[far], counts[far])], counts[far]
             # a = K(rows, surrogate); r = a reduced by the children's G
             a = _kernel_rows(kernel, rows, cols)
             r = a

@@ -17,8 +17,9 @@ not an integer >= 1, a ``balanced`` that is not a bool, a kernel or
 below 0, and a node count other than the rebuilt tree's are rejected; so
 are ranks and block ids that do not fit the rebuilt tree, block pairs
 not sorted by row node, and a low-rank pair whose mirror is missing.
-The admissibility rule is not stored: an ``eta`` or ``max_rank`` key
-from earlier writers is ignored.  The basis, coupling
+The admissibility rule is neither stored nor checked, so files written
+under the diameter rule (eta = 1.75) load unchanged; an ``eta`` or
+``max_rank`` key from earlier writers is ignored.  The basis, coupling
 and dense data are not scanned; ``h2fmm matvec`` rejects a product that
 is not finite.  This module reads and writes bytes; :func:`h2.assemble`
 builds the matrix, laying out the basis shape groups and the block rows

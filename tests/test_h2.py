@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from h2fmm import h2 as h2_module
 from h2fmm.errors import ConfigurationError
-from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, generate
+from h2fmm.geometry import DISTRIBUTION_KINDS, DistributionSpec, ParticleSet, generate
 from h2fmm.h2 import (
+    PROXY_RADIUS,
     _admissible,
     build_block_tree,
     compress,
@@ -60,12 +61,15 @@ def h2_512(tree512):
     return compress(tree512, LAPLACE, eps=1e-6)
 
 
-def admissible(a, b, level):
-    """``_admissible`` on two same-level cells given by their coordinates."""
-    shift = MAX_LEVEL - level
-    lo_a, lo_b = (np.array([c], dtype=np.int64) << shift for c in (a, b))
-    size = np.array([1 << shift])
-    return bool(_admissible(lo_a, size, lo_b, size)[0])
+def admissible(a, b, level, level_b=None):
+    """``_admissible`` on two cells given by their coordinates, ``a`` on
+    ``level`` and ``b`` on ``level_b`` (default ``level``)."""
+
+    def box(cell, lv):
+        shift = MAX_LEVEL - lv
+        return np.array([cell], dtype=np.int64) << shift, np.array([1 << shift], dtype=np.int64)
+
+    return bool(_admissible(*box(a, level), *box(b, level if level_b is None else level_b))[0])
 
 
 def test_admissible_identical_cell_false():
@@ -75,11 +79,36 @@ def test_admissible_identical_cell_false():
 def test_admissible_face_adjacent_false():
     assert not admissible((0, 0, 0), (1, 0, 0), 2)
     assert not admissible((0, 0, 0), (1, 1, 1), 2)  # corner
+    # Touching or overlapping boxes of different levels: a level-2 box
+    # spans level-6 cells 0..15 per axis, and the root every level-21 cell.
+    for fine in [(16, 3, 3), (16, 16, 16), (16, 16, 0), (5, 5, 5), (15, 15, 15)]:
+        assert not admissible((0, 0, 0), fine, 2, 6)
+        assert not admissible(fine, (0, 0, 0), 6, 2)
+    w = 1 << MAX_LEVEL
+    for cell in [(0, 0, 0), (w - 1, w - 1, w - 1), (w, 0, 0), (w, w, w)]:
+        assert not admissible((0, 0, 0), cell, 0, MAX_LEVEL)
 
 
 def test_admissible_two_widths_apart_true():
     assert admissible((0, 0, 0), (2, 0, 0), 2)
     assert admissible((0, 0, 0), (2, 2, 2), 2)  # diagonal
+    # Across levels the gap must be the larger box's width.  A box 16 level-6
+    # cells wide and a 1-cell box at per-axis gaps (15, 5, 1): 251 < 16^2, so
+    # not admissible (a diameter rule, max(diam) <= 1.75 dist, admitted it);
+    # at gaps (16, 0, 0) and (16, 16, 16) admissible.
+    assert not admissible((0, 0, 0), (31, 21, 17), 2, 6)
+    assert not admissible((31, 21, 17), (0, 0, 0), 6, 2)
+    for fine in [(32, 0, 0), (32, 32, 32), (32, 7, 15)]:
+        assert admissible((0, 0, 0), fine, 2, 6)
+        assert admissible(fine, (0, 0, 0), 6, 2)
+    # The root against a level-21 cell, decided exactly: gaps whose squares
+    # sum to 2^42 - 4094 and 2^42 + 1 against the root's 2^42.
+    w = 1 << MAX_LEVEL
+    assert admissible((0, 0, 0), (2 * w, 0, 0), 0, MAX_LEVEL)
+    assert not admissible((0, 0, 0), (2 * w - 1, 0, 0), 0, MAX_LEVEL)
+    assert not admissible((0, 0, 0), (2 * w - 1, w + 2047, 0), 0, MAX_LEVEL)
+    assert admissible((0, 0, 0), (2 * w - 1, w + 2048, 0), 0, MAX_LEVEL)
+    assert admissible((-w - 1, -2049, 5), (0, 0, 0), MAX_LEVEL, 0)
 
 
 def test_block_tree_partitions_index_square(tree512):
@@ -611,6 +640,42 @@ def test_per_block_contract_clustered():
     # regularized kernel is far from harmonic and proxies fit worst.
     t = balance_2to1(build_tree(generate(DistributionSpec("plummer", 4096, seed=1)), 16))
     assert_per_block_contract(t, KernelSpec("laplace3d", regularization=1e-1), 1e-6)
+
+
+SEPARATION_TREES = {
+    # At leaf capacity 1 the first particle's leaf is on level 3; the other
+    # two share a level-10 box whose near face is 1.49 leaf widths from that
+    # leaf's centre, which a diameter rule (eta = 1.75) admitted.
+    "three-points": lambda: build_tree(
+        ParticleSet(np.array([(0.05, 0.05, 0.05), (0.2491, 0.05, 0.05), (0.2492, 0.05, 0.05)])), 1
+    ),
+    "plummer-2048-leaf1": lambda: build_tree(generate(DistributionSpec("plummer", 2048, seed=1)), 1),
+    "plummer-8192-leaf4": lambda: build_tree(generate(DistributionSpec("plummer", 8192, seed=1)), 4),
+    "sphere-2048-leaf1": lambda: build_tree(generate(DistributionSpec("sphere-surface", 2048, seed=1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(SEPARATION_TREES))
+def test_far_field_outside_proxy_radius(name):
+    # No partner of a node or of its ancestors comes within PROXY_RADIUS
+    # half-widths of the node's centre, so the proxies alone stand for the
+    # far field; compress then meets the sampled-row bound.
+    t, eps = SEPARATION_TREES[name](), 1e-4
+    m = compress(t, LAPLACE, eps=eps)
+    anchors, sizes = node_boxes(t)
+    for node, partners in enumerate(far_partners(t, m.blocks)):
+        # Twice the distance from the centre to each box, against twice rho.
+        p = np.array(partners, dtype=np.int64)
+        centre2, lo, hi = 2 * anchors[node] + sizes[node], 2 * anchors[p], 2 * (anchors[p] + sizes[p, None])
+        gap = np.maximum(0, np.maximum(lo - centre2, centre2 - hi))
+        assert ((gap * gap).sum(axis=1) >= (PROXY_RADIUS * sizes[node]) ** 2).all(), node
+    assert m.flagged_nodes() == []
+    rng = np.random.Generator(np.random.PCG64(0))
+    x = rng.standard_normal(m.n)
+    rows = rng.choice(m.n, size=min(256, m.n), replace=False)
+    pos = t.particles.positions[np.argsort(t.order)]  # the order of x and y
+    ref = kernel_block(LAPLACE, pos[rows], pos) @ x
+    assert np.linalg.norm(matvec(m, x)[rows] - ref) <= 10 * eps * np.linalg.norm(ref)
 
 
 def compress_evaluations_per_particle(monkeypatch, dist, sizes):
